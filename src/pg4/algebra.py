@@ -21,9 +21,10 @@ which is possible exactly when the angle denominator divides 4.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import lru_cache
-from math import cos, gcd, pi, sin
+from math import cos, gcd, lcm, pi, sin
 from typing import Union
 
 Rational = Fraction
@@ -34,52 +35,104 @@ _FH = Fraction(1, 2)
 
 
 class FieldElem:
-    """a + b*sqrt2 + c*sqrt5 + d*sqrt10 with rational a, b, c, d."""
+    """a + b*sqrt2 + c*sqrt5 + d*sqrt10 with rational a, b, c, d.
 
-    __slots__ = ("a", "b", "c", "d", "_hash")
+    Stored as integer numerators ``A, B, C, D`` over one positive integer
+    denominator ``den`` with gcd(A, B, C, D, den) = 1, so equal elements have
+    equal fields.  The rational coordinates ``a``-``d`` are built on demand.
+
+    ``hash(x) == hash((x.a, x.b, x.c, x.d))``: set and dict iteration orders,
+    and with them the orbit point and mesh vertex orders, depend on it.  It
+    is computed on first use, since most intermediate values are never hashed.
+    """
+
+    __slots__ = ("A", "B", "C", "D", "den", "_hash")
 
     def __init__(self, a=0, b=0, c=0, d=0):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
-        self.c = Fraction(c)
-        self.d = Fraction(d)
-        self._hash = hash((self.a, self.b, self.c, self.d))
+        fa, fb, fc, fd = Fraction(a), Fraction(b), Fraction(c), Fraction(d)
+        den = lcm(fa.denominator, fb.denominator, fc.denominator, fd.denominator)
+        self.A = fa.numerator * (den // fa.denominator)
+        self.B = fb.numerator * (den // fb.denominator)
+        self.C = fc.numerator * (den // fc.denominator)
+        self.D = fd.numerator * (den // fd.denominator)
+        self.den = den
+        self._hash = None
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.A, self.den)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.B, self.den)
+
+    @property
+    def c(self) -> Fraction:
+        return Fraction(self.C, self.den)
+
+    @property
+    def d(self) -> Fraction:
+        return Fraction(self.D, self.den)
 
     def __hash__(self):
-        return self._hash
+        h = self._hash
+        if h is None:
+            den = self.den
+            if den == 1:
+                h = hash((self.A, self.B, self.C, self.D))
+            else:
+                h = hash((_rat_hash(self.A, den), _rat_hash(self.B, den),
+                          _rat_hash(self.C, den), _rat_hash(self.D, den)))
+            self._hash = h
+        return h
 
     def __eq__(self, other):
-        if isinstance(other, FieldElem):
-            return (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
+        if type(other) is FieldElem:
+            return (self.den == other.den and self.A == other.A and self.B == other.B
+                    and self.C == other.C and self.D == other.D)
         if isinstance(other, (int, Fraction)):
-            return self.a == other and not (self.b or self.c or self.d)
+            return not (self.B or self.C or self.D) and Fraction(self.A, self.den) == other
         return NotImplemented
 
     def __add__(self, other):
-        other = _coerce(other)
-        return FieldElem(self.a + other.a, self.b + other.b, self.c + other.c, self.d + other.d)
+        if type(other) is not FieldElem:
+            other = _coerce(other)
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            return _fe(self.A + other.A, self.B + other.B, self.C + other.C,
+                       self.D + other.D, d1)
+        return _fe(self.A * d2 + other.A * d1, self.B * d2 + other.B * d1,
+                   self.C * d2 + other.C * d1, self.D * d2 + other.D * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
-        return FieldElem(self.a - other.a, self.b - other.b, self.c - other.c, self.d - other.d)
+        if type(other) is not FieldElem:
+            other = _coerce(other)
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            return _fe(self.A - other.A, self.B - other.B, self.C - other.C,
+                       self.D - other.D, d1)
+        return _fe(self.A * d2 - other.A * d1, self.B * d2 - other.B * d1,
+                   self.C * d2 - other.C * d1, self.D * d2 - other.D * d1, d1 * d2)
 
     def __rsub__(self, other):
         return _coerce(other) - self
 
     def __neg__(self):
-        return FieldElem(-self.a, -self.b, -self.c, -self.d)
+        return _fe_reduced(-self.A, -self.B, -self.C, -self.D, self.den)
 
     def __mul__(self, other):
-        other = _coerce(other)
-        a1, b1, c1, d1 = self.a, self.b, self.c, self.d
-        a2, b2, c2, d2 = other.a, other.b, other.c, other.d
-        return FieldElem(
+        if type(other) is not FieldElem:
+            other = _coerce(other)
+        a1, b1, c1, d1 = self.A, self.B, self.C, self.D
+        a2, b2, c2, d2 = other.A, other.B, other.C, other.D
+        return _fe(
             a1 * a2 + 2 * b1 * b2 + 5 * c1 * c2 + 10 * d1 * d2,
             a1 * b2 + b1 * a2 + 5 * (c1 * d2 + d1 * c2),
             a1 * c2 + c1 * a2 + 2 * (b1 * d2 + d1 * b2),
             a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2,
+            self.den * other.den,
         )
 
     __rmul__ = __mul__
@@ -95,23 +148,26 @@ class FieldElem:
         if self.is_zero():
             raise ZeroDivisionError("division by zero field element")
         # multiply by the three Galois conjugates; the product is rational
-        c2 = FieldElem(self.a, -self.b, self.c, -self.d)
-        c5 = FieldElem(self.a, self.b, -self.c, -self.d)
-        c25 = FieldElem(self.a, -self.b, -self.c, self.d)
-        y = c2 * c5 * c25
+        A, B, C, D, den = self.A, self.B, self.C, self.D, self.den
+        y = _fe(A, -B, C, -D, den) * _fe(A, B, -C, -D, den) * _fe(A, -B, -C, D, den)
         n = self * y
-        assert not (n.b or n.c or n.d)
-        return FieldElem(y.a / n.a, y.b / n.a, y.c / n.a, y.d / n.a)
+        if not n.is_rational():
+            raise ArithmeticError(f"norm of {self!r} is not rational")
+        # y / (n.A / n.den), with the sign moved into the numerators
+        s = n.den if n.A > 0 else -n.den
+        return _fe(y.A * s, y.B * s, y.C * s, y.D * s, y.den * abs(n.A))
 
     def is_zero(self):
-        return not (self.a or self.b or self.c or self.d)
+        return not (self.A or self.B or self.C or self.D)
 
     def is_rational(self):
-        return not (self.b or self.c or self.d)
+        return not (self.B or self.C or self.D)
 
     def __float__(self):
-        return float(self.a) + float(self.b) * 1.4142135623730951 \
-            + float(self.c) * 2.23606797749979 + float(self.d) * 3.1622776601683795
+        # per coordinate, as float(Fraction) rounds it, then summed in order
+        den = self.den
+        return self.A / den + self.B / den * 1.4142135623730951 \
+            + self.C / den * 2.23606797749979 + self.D / den * 3.1622776601683795
 
     def key(self):
         return (self.a, self.b, self.c, self.d)
@@ -120,11 +176,48 @@ class FieldElem:
         return f"FieldElem({self.a},{self.b},{self.c},{self.d})"
 
 
+_HASH_MODULUS = sys.hash_info.modulus
+
+
+def _rat_hash(n: int, den: int) -> int:
+    """hash(Fraction(n, den)) for den > 0, by Python's rule for rationals."""
+    h = abs(n) % _HASH_MODULUS * pow(den, -1, _HASH_MODULUS) % _HASH_MODULUS
+    if n < 0:
+        h = -h
+    return -2 if h == -1 else h
+
+
+def _fe_reduced(A: int, B: int, C: int, D: int, den: int) -> FieldElem:
+    """FieldElem from numerators already in lowest terms over den > 0."""
+    x = FieldElem.__new__(FieldElem)
+    x.A = A
+    x.B = B
+    x.C = C
+    x.D = D
+    x.den = den
+    x._hash = None
+    return x
+
+
+def _fe(A: int, B: int, C: int, D: int, den: int) -> FieldElem:
+    """FieldElem (A + B sqrt2 + C sqrt5 + D sqrt10) / den, for den > 0."""
+    g = gcd(A, B, C, D, den)
+    if g != 1:
+        A //= g
+        B //= g
+        C //= g
+        D //= g
+        den //= g
+    return _fe_reduced(A, B, C, D, den)
+
+
 def _coerce(x) -> FieldElem:
     if isinstance(x, FieldElem):
         return x
-    if isinstance(x, (int, Fraction)):
-        return FieldElem(x)
+    if isinstance(x, int):
+        return _fe_reduced(x, 0, 0, 0, 1)
+    if isinstance(x, Fraction):
+        return _fe_reduced(x.numerator, 0, 0, 0, x.denominator)
     raise TypeError(f"cannot coerce {type(x)} into Q(sqrt2,sqrt5)")
 
 
@@ -196,15 +289,15 @@ class AlgQuat:
         self.x = _coerce(x)
         self.y = _coerce(y)
         self.z = _coerce(z)
-        self._hash = hash((1, self.w._hash, self.x._hash, self.y._hash, self.z._hash))
+        self._hash = hash((1, hash(self.w), hash(self.x), hash(self.y), hash(self.z)))
         self._negq = None
 
     def __hash__(self):
         return self._hash
 
     def __eq__(self, other):
-        return (
-            isinstance(other, AlgQuat)
+        return self is other or (
+            type(other) is AlgQuat and self._hash == other._hash
             and self.w == other.w and self.x == other.x
             and self.y == other.y and self.z == other.z
         )
@@ -393,7 +486,12 @@ def quat_sign_flip(a: Quat) -> bool:
     """True when -a has the smaller encoding, i.e. (l, r) must be negated."""
     if type(a) is CycloQuat:
         return (a.num + a.den) % (2 * a.den) < a.num
-    return quat_key(quat_neg(a)) < quat_key(a)
+    # quat_key order: -a is smaller iff a's first nonzero coordinate is positive
+    for c in (a.w, a.x, a.y, a.z):
+        for n in (c.A, c.B, c.C, c.D):
+            if n:
+                return n > 0
+    return False
 
 
 def quat_real(a: Quat) -> FieldElem:
@@ -425,30 +523,54 @@ def exp_i(t) -> CycloQuat:
 
 # real parts occurring in 2I ∪ 2O ∪ 2T, mapped to the unsigned angle fraction
 _ARCCOS = {
-    F(1).key(): Fraction(0),
-    F(-1).key(): Fraction(1),
-    F(0).key(): Fraction(1, 2),
-    HALF.key(): Fraction(1, 3),
-    (-HALF).key(): Fraction(2, 3),
-    (HALF * SQRT2).key(): Fraction(1, 4),
-    (-HALF * SQRT2).key(): Fraction(3, 4),
-    ((F(1) + SQRT5) * Fraction(1, 4)).key(): Fraction(1, 5),
-    ((SQRT5 - 1) * Fraction(1, 4)).key(): Fraction(2, 5),
-    ((F(1) - SQRT5) * Fraction(1, 4)).key(): Fraction(3, 5),
-    ((-F(1) - SQRT5) * Fraction(1, 4)).key(): Fraction(4, 5),
+    F(1): Fraction(0),
+    F(-1): Fraction(1),
+    F(0): Fraction(1, 2),
+    HALF: Fraction(1, 3),
+    -HALF: Fraction(2, 3),
+    HALF * SQRT2: Fraction(1, 4),
+    -HALF * SQRT2: Fraction(3, 4),
+    (F(1) + SQRT5) * Fraction(1, 4): Fraction(1, 5),
+    (SQRT5 - 1) * Fraction(1, 4): Fraction(2, 5),
+    (F(1) - SQRT5) * Fraction(1, 4): Fraction(3, 5),
+    (-F(1) - SQRT5) * Fraction(1, 4): Fraction(4, 5),
 }
+
+
+def _arccos(re: FieldElem) -> Fraction:
+    a = _ARCCOS.get(re)
+    if a is None:
+        raise ValueError(f"real part {re!r} outside the arccos lookup table")
+    return a
+
+
+def unsigned_angle(q: Quat) -> Fraction:
+    """Unsigned fraction a in [0,1] with cos(a*pi) = Re(q); ``angle_of(q).t``."""
+    if type(q) is CycloQuat:
+        if q.jbit:
+            return _FH
+        return min(Fraction(q.num, q.den), Fraction(2 * q.den - q.num, q.den))
+    return _arccos(q.w)
 
 
 def angle_of(q: Quat) -> AngleFraction:
     """Unsigned fraction a in [0,1] with cos(a*pi) = Re(q)."""
-    if isinstance(q, CycloQuat):
-        if q.jbit:
-            return AngleFraction(Fraction(1, 2))
-        return AngleFraction(min(Fraction(q.num, q.den), Fraction(2 * q.den - q.num, q.den)))
-    a = _ARCCOS.get(q.w.key())
-    if a is None:
-        raise ValueError(f"real part {q.w!r} outside the arccos lookup table")
-    return AngleFraction(a)
+    return AngleFraction(unsigned_angle(q))
+
+
+def product_angle(a: Quat, b: Quat) -> Fraction:
+    """``unsigned_angle(quat_mul(a, b))``, read from Re(a*b) alone.
+
+    Unless both factors are CycloQuats, only the four field products of the
+    real part are formed; the full product is neither built nor cached.
+    """
+    if type(a) is CycloQuat:
+        if type(b) is CycloQuat:
+            return unsigned_angle(quat_mul(a, b))
+        a = _promote(a)
+    elif type(b) is CycloQuat:
+        b = _promote(b)
+    return _arccos(a.w * b.w - a.x * b.x - a.y * b.y - a.z * b.z)
 
 
 def quat_order(q: Quat) -> int:

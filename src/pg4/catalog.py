@@ -551,8 +551,6 @@ def _polyhedral_group(name: str) -> PointGroup:
     G = _polyhedral_chiral(base)
     if ext == "2":
         e = _STAR
-        if base == "+-1/2[OxO]":
-            e = _STAR  # the reflection-rich extension [3,4,3]
     elif ext == "2b":
         e = reflection(ONE, I_O) if base == "+-1/2[OxO]" else reflection(I_O, I_O)
     elif ext == "23":
@@ -665,10 +663,14 @@ def _axial_group(family: str) -> PointGroup:
     return from_elements(_axial_elements(*_axial_parse(family)))
 
 
+# |2T|, |2O|, |2I| and |2O - 2T|, keyed by the tags of _G3
+_G3_SIZES = {"T": 24, "O": 48, "I": 120, "O-T": 24, None: 0}
+
+
 def _axial_order(family: str) -> int:
-    kind, g3, sub = _axial_parse(family)
-    P, M = _g3_sets(g3)
-    base = (len(P) + len(M)) // 2
+    kind, g3, _ = _axial_parse(family)
+    tag_p, tag_m = _G3[g3]
+    base = (_G3_SIZES[tag_p] + _G3_SIZES[tag_m]) // 2
     return base * 2 if kind == "prism" else base
 
 

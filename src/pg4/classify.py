@@ -29,7 +29,6 @@ from .group import (
     Transform4,
     classify_quat_group,
     equals,
-    fingerprint,
     from_elements,
     left_right_groups,
 )
@@ -151,13 +150,9 @@ def _finite_catalog_by_order():
 
 
 def _classify_finite(G: PointGroup) -> GroupSpec:
+    # no fingerprint prefilter: equal element sets have equal fingerprints
     candidates = _finite_catalog_by_order().get(len(G.elements), [])
-    fp = str(fingerprint(G))
-    matches = [sp for sp in candidates if str(fingerprint(build(sp))) == fp]
-    if len(matches) > 1:
-        matches = [sp for sp in matches if equals(build(sp), G)]
-    elif len(matches) == 1 and not equals(build(matches[0]), G):
-        matches = []
+    matches = [sp for sp in candidates if equals(build(sp), G)]
     if len(matches) == 1:
         return matches[0]
     raise ClassificationError("no catalog match among polyhedral/axial groups")

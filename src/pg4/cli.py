@@ -17,7 +17,7 @@ from . import catalog
 from .catalog import ParseError, SpecError, build, cs_name_type1, list_catalog, parse_spec, spec_order
 from .classify import ClassificationError, classify
 from .counting import count_order, count_self_mirror
-from .group import fingerprint, is_chiral, order
+from .group import ClosureCapExceeded, fingerprint, is_chiral, order
 from .orbits import center_of, export_mesh, orbit, polar_cell
 from .transform import transform_from_json
 
@@ -178,6 +178,9 @@ def main(argv=None) -> int:
         return 1
     except (SpecError, ClassificationError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 2
+    except ClosureCapExceeded as exc:
+        sys.stderr.write(f"error: {args.cmd}: group closure: {exc}\n")
         return 2
     return 0
 

@@ -86,11 +86,6 @@ def is_chiral(G: PointGroup) -> bool:
     return not any(g.star for g in G.elements)
 
 
-def is_closed(G: PointGroup) -> bool:
-    els = G.elements
-    return all(compose(g, h) in els for g in els for h in els)
-
-
 def equals(G1: PointGroup, G2: PointGroup) -> bool:
     return G1.elements == G2.elements
 

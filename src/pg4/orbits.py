@@ -15,7 +15,7 @@ from math import pi, sqrt
 import numpy as np
 from scipy.spatial import HalfspaceIntersection
 
-from .algebra import AngleFraction, CycloQuat, angle_of, quat_float4, quat_neg
+from .algebra import AngleFraction, CycloQuat, angle_of, quat_float4, quat_neg, quat_sign_flip
 from .catalog import GroupSpec, TUBICAL_FAMILIES, build, tubical_base
 from .group import PointGroup
 from .hopf import GreatCircle, circle_residual, rotate_s2
@@ -88,9 +88,7 @@ class Induced3D:
 
 
 def _canon_sign(q):
-    from .algebra import quat_key
-    nq = quat_neg(q)
-    return q if quat_key(q) <= quat_key(nq) else nq
+    return quat_neg(q) if quat_sign_flip(q) else q
 
 
 def induced_group(G: PointGroup) -> Induced3D:
@@ -390,7 +388,8 @@ def export_mesh(mesh: Mesh, fmt: str = "OFF") -> bytes:
 
 def parse_off(data: bytes) -> Mesh:
     lines = [ln for ln in data.decode().splitlines() if ln.strip()]
-    assert lines[0].strip() == "OFF"
+    if not lines or lines[0].strip() != "OFF":
+        raise ValueError("not an OFF mesh: missing OFF header")
     V, F, _ = (int(x) for x in lines[1].split())
     verts = tuple(tuple(float(c) for c in lines[2 + i].split()) for i in range(V))
     faces = []

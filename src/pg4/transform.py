@@ -16,7 +16,7 @@ import numpy as np
 
 from .algebra import (
     Quat,
-    angle_of,
+    product_angle,
     quat_conj,
     quat_float4,
     quat_from_json,
@@ -25,6 +25,7 @@ from .algebra import (
     quat_neg,
     quat_sign_flip,
     quat_to_json,
+    unsigned_angle,
     ONE,
 )
 
@@ -148,10 +149,10 @@ def _frac_str(f: Fraction) -> str:
 
 def element_code(g: Transform4) -> ElementCode:
     if g.star:
-        u = angle_of(quat_mul(g.r, g.l)).t
+        u = product_angle(g.r, g.l)
         return ElementCode(True, min(u, 1 - u))
-    a = angle_of(g.l).t
-    b = angle_of(g.r).t
+    a = unsigned_angle(g.l)
+    b = unsigned_angle(g.r)
     # (l, r) and (-l, -r) give (a, b) and (1-a, 1-b)
     if not (a < b or (a == b and a <= Fraction(1, 2))):
         a, b = 1 - a, 1 - b

@@ -61,6 +61,41 @@ def test_field_inverse(a):
         assert a * a.inverse() == FieldElem(1)
 
 
+def _ref(x):
+    return (x.a, x.b, x.c, x.d)
+
+
+def _ref_mul(p, q):
+    a1, b1, c1, d1 = p
+    a2, b2, c2, d2 = q
+    return (a1 * a2 + 2 * b1 * b2 + 5 * c1 * c2 + 10 * d1 * d2,
+            a1 * b2 + b1 * a2 + 5 * (c1 * d2 + d1 * c2),
+            a1 * c2 + c1 * a2 + 2 * (b1 * d2 + d1 * b2),
+            a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rationals, rationals, rationals, rationals, field_elems)
+def test_field_matches_fraction_reference(a, b, c, d, y):
+    """The integer representation against coordinates kept as Fractions."""
+    x = FieldElem(a, b, c, d)
+    p, q = (a, b, c, d), _ref(y)
+    assert p == _ref(x)
+    assert _ref(x + y) == tuple(s + t for s, t in zip(p, q))
+    assert _ref(x - y) == tuple(s - t for s, t in zip(p, q))
+    assert _ref(-x) == tuple(-s for s in p)
+    assert _ref(x * y) == _ref_mul(p, q)
+    assert _ref(x * a) == tuple(s * a for s in p) == _ref(a * x)
+    if not y.is_zero():
+        assert _ref_mul(_ref(y.inverse()), q) == (1, 0, 0, 0)
+        assert _ref_mul(_ref(x / y), q) == p
+    assert float(x) == float(a) + float(b) * 1.4142135623730951 \
+        + float(c) * 2.23606797749979 + float(d) * 3.1622776601683795
+    assert x.key() == p and (x.key() < y.key()) == (p < q)
+    assert hash(x) == hash(p)
+    assert (x == y) == (p == q) and (x == a) == (p == (a, 0, 0, 0))
+
+
 def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         FieldElem(1) / FieldElem(0)
@@ -103,6 +138,19 @@ def test_angle_of():
 def test_angle_complement():
     for q in (OMEGA, I_I, I_O, exp_i(Fr(1, 7))):
         assert angle_of(q).t + angle_of(quat_neg(q)).t == 1
+
+
+def test_product_angle_reads_the_real_part():
+    from pg4 import algebra
+    from pg4.constants import two_I, two_O
+    pairs = [(a, b) for S in (list(two_O()), list(two_I())[::3]) for a in S for b in S]
+    pairs.append((exp_i(Fr(1, 7)), exp_i(Fr(2, 7))))
+    cached = len(algebra._ALG_MUL_CACHE)
+    got = [algebra.product_angle(a, b) for a, b in pairs]
+    assert len(algebra._ALG_MUL_CACHE) == cached
+    assert got == [angle_of(quat_mul(a, b)).t for a, b in pairs]
+    with pytest.raises(RepresentationError):
+        algebra.product_angle(exp_i(Fr(1, 5)), OMEGA)
 
 
 def test_units_and_promotion():

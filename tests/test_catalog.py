@@ -134,6 +134,7 @@ def test_polyhedral_achiral_halves():
 
 
 def test_axial_orders():
+    from pg4.catalog import _axial_order
     expected = {
         "pyr:+-I": 120, "pyr:+I": 60, "pyr:+-O": 48, "pyr:+O": 24,
         "pyr:TO": 24, "pyr:+-T": 24, "pyr:+T": 12,
@@ -142,8 +143,24 @@ def test_axial_orders():
         "hyb:+I<+-I": 120, "hyb:+-T<+-O": 48, "hyb:+O<+-O": 48,
         "hyb:TO<+-O": 48, "hyb:+T<+-T": 24, "hyb:+T<+O": 24, "hyb:+T<TO": 24,
     }
+    assert len(AXIAL_FAMILIES) == 21
     for fam in AXIAL_FAMILIES:
-        assert order(build(GroupSpec("axial", fam))) == expected[fam]
+        # _axial_order counts from the fixed sizes of 2T, 2O, 2I without building
+        assert order(build(GroupSpec("axial", fam))) == expected[fam] == _axial_order(fam)
+
+
+# sha256 of "<spec>\t<fingerprint>" lines of the 46 finite groups, recorded
+# from the Fraction-based field arithmetic the integer one replaced
+FINITE_FINGERPRINTS_SHA256 = "532dad33ff4d1422b93248fbb4368e244fcc53def11147b202e434b764c4858f"
+
+
+def test_finite_fingerprints_pinned():
+    import hashlib
+    specs = ([polyhedral_spec(name) for name in POLYHEDRAL_ORDERS]
+             + [GroupSpec("axial", fam) for fam in AXIAL_FAMILIES])
+    assert len(specs) == 46
+    text = "\n".join(f"{sp}\t{fingerprint(build(sp))}" for sp in specs)
+    assert hashlib.sha256(text.encode()).hexdigest() == FINITE_FINGERPRINTS_SHA256
 
 
 def test_cs_name_type1():

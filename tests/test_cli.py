@@ -71,3 +71,18 @@ def test_error_exit_codes():
     r = run("build", "tor:X/c2mm:m=1,n=5")
     assert r.returncode == 2 and r.stderr.startswith("error:")
     assert "\n" not in r.stderr.strip()
+
+
+def test_closure_cap_is_a_one_line_error(tmp_path, monkeypatch, capsys):
+    from functools import partial
+
+    from pg4 import cli, group
+    from pg4.catalog import build, parse_spec
+    from pg4.transform import transform_to_json
+    G = build(parse_spec("tub:+-[TxC]:n=2"))
+    path = tmp_path / "gens.jsonl"
+    path.write_text("\n".join(json.dumps(transform_to_json(g)) for g in G.generators))
+    monkeypatch.setattr(group, "generate", partial(group.generate, cap=10))
+    assert cli.main(["classify", "--generators", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: classify: group closure:") and err.count("\n") == 1

@@ -181,3 +181,9 @@ def test_export_round_trip():
     assert again.faces == cell.faces
     obj = export_mesh(cell, "OBJ").decode()
     assert obj.count("\nf ") + obj.startswith("f ") == 8 or obj.count("f ") == 8
+
+
+def test_parse_off_rejects_other_formats():
+    for data in (b"", b"v 1 0 0\nf 1 2 3\n"):
+        with pytest.raises(ValueError, match="OFF header"):
+            parse_off(data)
