@@ -9,6 +9,14 @@ Families and canonical parameter ranges:
 * 25 polyhedral groups,
 * 21 axial groups (7 pyramidal, 7 prismatic, 7 hybrid).
 
+The family records are the one place for family facts: ``TUBICAL_FAMILIES``
+(order factor, ``n_min``, induced 3D group, generators, Goursat shape),
+``TOROIDAL_FAMILIES`` (parameters, chirality, order factor) and
+``POLYHEDRAL_FAMILIES`` (order, chirality, Coxeter alias) hold one row per
+family; the axial orders and chiralities follow from the tags of ``_G3``.
+``build``, ``spec_order``, ``spec_chiral``, ``constraints_ok``,
+classification and counting all read them.
+
 ``build`` turns a ``GroupSpec`` into the actual ``PointGroup``; parameter
 constraints follow the overview tables, so the catalog is duplicate-free by
 construction.  ``build_unchecked`` also accepts out-of-range toroidal
@@ -22,6 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, floor, isqrt
+from typing import Callable
 
 from .algebra import CycloQuat, exp_i, quat_mul, quat_neg
 from .constants import (
@@ -117,59 +126,77 @@ def axial_spec(kind: str, g3: str, subgroup: str | None = None) -> GroupSpec:
 
 @dataclass(frozen=True)
 class TubicalFamily:
+    """A left tubical family +-(1/f)[P x R] with parameter n, and its mirror.
+
+    The Goursat shape that classification matches: ``r_shape`` and
+    ``r0_shape`` are (kind, k) for the right group R and the right kernel
+    R0 = {r : [1, r] in G}, whose ``classify_quat_group`` type is kind with
+    parameter k * n; ``l0`` tags the left kernel L0 = {l : [l, 1] in G}
+    ("I", "O", "T", or "D4" for the quaternion group).
+    """
+
     name: str          # left-variant label
     mirror_name: str   # right-variant label
-    order_factor: int
+    order_factor: int  # |G| = order_factor * n
     n_min: int
     induced: str       # G^h on the Hopf sphere
-    dihedral: bool
+    pairs: Callable    # n -> (l, r) generator pairs of the left variant
+    r_shape: tuple
+    r0_shape: tuple
+    l0: str
 
-    def generators(self, n):
-        raise NotImplementedError
+    @property
+    def left_type(self) -> str:
+        """The polyhedral left group P of the name: "I", "O" or "T"."""
+        return self.name[self.name.index("[") + 1]
+
+    def generators(self, n: int) -> list:
+        """Rotations generating the left variant with parameter n."""
+        return [rotation(l, r) for l, r in self.pairs(n)]
 
 
-_TUBICAL_GENS = {
-    # family -> callable n -> list of (star, l, r)
-    "+-[IxC]": lambda n: [(I_I, ONE), (OMEGA, ONE), (ONE, e_n(n))],
-    "+-[OxC]": lambda n: [(I_O, ONE), (OMEGA, ONE), (ONE, e_n(n))],
-    "+-1/2[OxC2]": lambda n: [(QI, ONE), (OMEGA, ONE), (ONE, e_n(n)), (I_O, e_n(2 * n))],
-    "+-[TxC]": lambda n: [(QI, ONE), (OMEGA, ONE), (ONE, e_n(n))],
-    "+-1/3[TxC3]": lambda n: [(QI, ONE), (ONE, e_n(n)), (OMEGA, e_n(3 * n))],
-    "+-[IxD2]": lambda n: [(I_I, ONE), (OMEGA, ONE), (ONE, e_n(n)), (ONE, QJ)],
-    "+-[OxD2]": lambda n: [(I_O, ONE), (OMEGA, ONE), (ONE, e_n(n)), (ONE, QJ)],
-    "+-1/2[OxDb4]": lambda n: [(QI, ONE), (OMEGA, ONE), (ONE, e_n(n)), (ONE, QJ), (I_O, e_n(2 * n))],
-    "+-1/2[OxD2]": lambda n: [(QI, ONE), (OMEGA, ONE), (ONE, e_n(n)), (I_O, QJ)],
-    "+-1/6[OxD6]": lambda n: [(QI, ONE), (ONE, e_n(n)), (I_O, QJ), (OMEGA, e_n(3 * n))],
-    "+-[TxD2]": lambda n: [(QI, ONE), (OMEGA, ONE), (ONE, e_n(n)), (ONE, QJ)],
-}
+TUBICAL_FAMILIES = {f.name: f for f in (
+    TubicalFamily("+-[IxC]", "+-[CxI]", 120, 1, "+I",
+                  lambda n: [(I_I, ONE), (OMEGA, ONE), (ONE, e_n(n))],
+                  ("C", 1), ("C", 1), "I"),
+    TubicalFamily("+-[OxC]", "+-[CxO]", 48, 1, "+O",
+                  lambda n: [(I_O, ONE), (OMEGA, ONE), (ONE, e_n(n))],
+                  ("C", 1), ("C", 1), "O"),
+    TubicalFamily("+-1/2[OxC2]", "+-1/2[C2xO]", 48, 1, "+O",
+                  lambda n: [(QI, ONE), (OMEGA, ONE), (ONE, e_n(n)), (I_O, e_n(2 * n))],
+                  ("C", 2), ("C", 1), "T"),
+    TubicalFamily("+-[TxC]", "+-[CxT]", 24, 1, "+T",
+                  lambda n: [(QI, ONE), (OMEGA, ONE), (ONE, e_n(n))],
+                  ("C", 1), ("C", 1), "T"),
+    TubicalFamily("+-1/3[TxC3]", "+-1/3[C3xT]", 24, 1, "+T",
+                  lambda n: [(QI, ONE), (ONE, e_n(n)), (OMEGA, e_n(3 * n))],
+                  ("C", 3), ("C", 1), "D4"),
+    TubicalFamily("+-[IxD2]", "+-[D2xI]", 240, 2, "+-I",
+                  lambda n: [(I_I, ONE), (OMEGA, ONE), (ONE, e_n(n)), (ONE, QJ)],
+                  ("D", 1), ("D", 1), "I"),
+    TubicalFamily("+-[OxD2]", "+-[D2xO]", 96, 2, "+-O",
+                  lambda n: [(I_O, ONE), (OMEGA, ONE), (ONE, e_n(n)), (ONE, QJ)],
+                  ("D", 1), ("D", 1), "O"),
+    TubicalFamily("+-1/2[OxDb4]", "+-1/2[Db4xO]", 96, 2, "+-O",
+                  lambda n: [(QI, ONE), (OMEGA, ONE), (ONE, e_n(n)), (ONE, QJ), (I_O, e_n(2 * n))],
+                  ("D", 2), ("D", 1), "T"),
+    TubicalFamily("+-1/2[OxD2]", "+-1/2[D2xO]", 48, 2, "TO",
+                  lambda n: [(QI, ONE), (OMEGA, ONE), (ONE, e_n(n)), (I_O, QJ)],
+                  ("D", 1), ("C", 1), "T"),
+    TubicalFamily("+-1/6[OxD6]", "+-1/6[D6xO]", 48, 1, "TO",
+                  lambda n: [(QI, ONE), (ONE, e_n(n)), (I_O, QJ), (OMEGA, e_n(3 * n))],
+                  ("D", 3), ("C", 1), "D4"),
+    TubicalFamily("+-[TxD2]", "+-[D2xT]", 48, 2, "+-T",
+                  lambda n: [(QI, ONE), (OMEGA, ONE), (ONE, e_n(n)), (ONE, QJ)],
+                  ("D", 1), ("D", 1), "T"),
+)}
 
-_TUBICAL_TABLE = [
-    # name, mirror, order factor, n_min, induced 3D group, dihedral type
-    ("+-[IxC]", "+-[CxI]", 120, 1, "+I", False),
-    ("+-[OxC]", "+-[CxO]", 48, 1, "+O", False),
-    ("+-1/2[OxC2]", "+-1/2[C2xO]", 48, 1, "+O", False),
-    ("+-[TxC]", "+-[CxT]", 24, 1, "+T", False),
-    ("+-1/3[TxC3]", "+-1/3[C3xT]", 24, 1, "+T", False),
-    ("+-[IxD2]", "+-[D2xI]", 240, 2, "+-I", True),
-    ("+-[OxD2]", "+-[D2xO]", 96, 2, "+-O", True),
-    ("+-1/2[OxDb4]", "+-1/2[Db4xO]", 96, 2, "+-O", True),
-    ("+-1/2[OxD2]", "+-1/2[D2xO]", 48, 2, "TO", True),
-    ("+-1/6[OxD6]", "+-1/6[D6xO]", 48, 1, "TO", True),
-    ("+-[TxD2]", "+-[D2xT]", 48, 2, "+-T", True),
-]
+TUBICAL_LEFT = list(TUBICAL_FAMILIES)
 
-TUBICAL_FAMILIES = {}
 _TUBICAL_MIRROR = {}
-for _name, _mirror, _fac, _nmin, _ind, _dih in _TUBICAL_TABLE:
-    TUBICAL_FAMILIES[_name] = TubicalFamily(_name, _mirror, _fac, _nmin, _ind, _dih)
-    _TUBICAL_MIRROR[_name] = _mirror
-    _TUBICAL_MIRROR[_mirror] = _name
-
-TUBICAL_LEFT = [row[0] for row in _TUBICAL_TABLE]
-
-
-def is_tubical_left(family: str) -> bool:
-    return family in TUBICAL_FAMILIES
+for _f in TUBICAL_FAMILIES.values():
+    _TUBICAL_MIRROR[_f.name] = _f.mirror_name
+    _TUBICAL_MIRROR[_f.mirror_name] = _f.name
 
 
 def tubical_base(family: str) -> str:
@@ -185,12 +212,11 @@ def right_variant(spec: GroupSpec) -> GroupSpec:
 
 
 def _build_tubical(spec: GroupSpec) -> PointGroup:
-    base = tubical_base(spec.family)
-    n = spec.param("n")
-    gens = [(l, r) for l, r in _TUBICAL_GENS[base](n)]
-    if spec.family != base:
-        gens = [(r, l) for l, r in gens]
-    return generate([rotation(l, r) for l, r in gens])
+    fam = TUBICAL_FAMILIES[tubical_base(spec.family)]
+    gens = fam.generators(spec.param("n"))
+    if spec.family != fam.name:
+        gens = [rotation(g.r, g.l) for g in gens]
+    return generate(gens)
 
 
 # ---------------------------------------------------------------------------
@@ -201,49 +227,50 @@ class ToroidalFamily:
     family: str
     param_names: tuple
     chiral: bool
+    order_factor: int  # |G| = order_factor * (m n, a^2 + b^2 or n^2)
 
-    def order(self, params: dict) -> int:
-        return _toroidal_order(self.family, params)
 
-    def in_range(self, params: dict) -> bool:
-        return _toroidal_in_range(self.family, params)
+TOROIDAL_FAMILIES = {f.family: f for f in (
+    ToroidalFamily("1", ("m", "n", "s"), True, 1),
+    ToroidalFamily(".", ("m", "n", "s"), True, 2),
+    ToroidalFamily("\\/pm", ("m", "n"), True, 1),
+    ToroidalFamily("\\/pg", ("m", "n"), True, 1),
+    ToroidalFamily("\\/cm", ("m", "n"), True, 2),
+    ToroidalFamily("//pm", ("m", "n"), True, 1),
+    ToroidalFamily("//pg", ("m", "n"), True, 1),
+    ToroidalFamily("//cm", ("m", "n"), True, 2),
+    ToroidalFamily("X/p2mm", ("m", "n"), True, 2),
+    ToroidalFamily("X/p2mg", ("m", "n"), True, 2),
+    ToroidalFamily("X/p2gm", ("m", "n"), True, 2),
+    ToroidalFamily("X/p2gg", ("m", "n"), True, 2),
+    ToroidalFamily("X/c2mm", ("m", "n"), True, 4),
+    ToroidalFamily("|/pm", ("m", "n"), False, 2),
+    ToroidalFamily("|/pg", ("m", "n"), False, 2),
+    ToroidalFamily("|/cm", ("m", "n"), False, 4),
+    ToroidalFamily("+/p2mm", ("m", "n"), False, 4),
+    ToroidalFamily("+/p2mg", ("m", "n"), False, 4),
+    ToroidalFamily("+/p2gg", ("m", "n"), False, 4),
+    ToroidalFamily("+/c2mm", ("m", "n"), False, 8),
+    ToroidalFamily("L", ("a", "b"), False, 4),
+    ToroidalFamily("*/p4mmU", ("n",), False, 8),
+    ToroidalFamily("*/p4gmU", ("n",), False, 8),
+    ToroidalFamily("*/p4mmS", ("n",), False, 16),
+    ToroidalFamily("*/p4gmS", ("n",), False, 16),
+)}
+
+
+def _lattice_size(p: dict) -> int:
+    """m n, a^2 + b^2 or n^2: the order of a toroidal group over its order factor."""
+    if "a" in p:
+        return p["a"] ** 2 + p["b"] ** 2
+    if "m" in p:
+        return p["m"] * p["n"]
+    return p["n"] ** 2
 
 
 def _s_range(m: int, n: int):
     lo, hi = -Q(m, 2), Q(n - m, 2)
     return range(ceil(lo), floor(hi) + 1)
-
-
-def _toroidal_order(family: str, p: dict) -> int:
-    m, n = p.get("m", 0), p.get("n", 0)
-    if family == "1":
-        return m * n
-    if family == ".":
-        return 2 * m * n
-    if family in ("\\/pm", "\\/pg", "//pm", "//pg"):
-        return m * n
-    if family in ("\\/cm", "//cm"):
-        return 2 * m * n
-    if family in ("X/p2mm", "X/p2mg", "X/p2gm", "X/p2gg"):
-        return 2 * m * n
-    if family == "X/c2mm":
-        return 4 * m * n
-    if family in ("|/pm", "|/pg"):
-        return 2 * m * n
-    if family == "|/cm":
-        return 4 * m * n
-    if family in ("+/p2mm", "+/p2mg", "+/p2gg"):
-        return 4 * m * n
-    if family == "+/c2mm":
-        return 8 * m * n
-    if family == "L":
-        a, b = p["a"], p["b"]
-        return 4 * (a * a + b * b)
-    if family in ("*/p4mmU", "*/p4gmU"):
-        return 8 * p["n"] ** 2
-    if family in ("*/p4mmS", "*/p4gmS"):
-        return 16 * p["n"] ** 2
-    raise SpecError(f"unknown toroidal family {family}")
 
 
 def _toroidal_in_range(family: str, p: dict) -> bool:
@@ -285,36 +312,6 @@ def _toroidal_in_range(family: str, p: dict) -> bool:
     if family in ("*/p4mmS", "*/p4gmS"):
         return p["n"] >= 2
     raise SpecError(f"unknown toroidal family {family}")
-
-
-_TOROIDAL_PARAMS = {
-    "1": ("m", "n", "s"), ".": ("m", "n", "s"),
-    "\\/pm": ("m", "n"), "\\/pg": ("m", "n"), "\\/cm": ("m", "n"),
-    "//pm": ("m", "n"), "//pg": ("m", "n"), "//cm": ("m", "n"),
-    "X/p2mm": ("m", "n"), "X/p2mg": ("m", "n"), "X/p2gm": ("m", "n"),
-    "X/p2gg": ("m", "n"), "X/c2mm": ("m", "n"),
-    "|/pm": ("m", "n"), "|/pg": ("m", "n"), "|/cm": ("m", "n"),
-    "+/p2mm": ("m", "n"), "+/p2mg": ("m", "n"), "+/p2gg": ("m", "n"),
-    "+/c2mm": ("m", "n"),
-    "L": ("a", "b"),
-    "*/p4mmU": ("n",), "*/p4gmU": ("n",), "*/p4mmS": ("n",), "*/p4gmS": ("n",),
-}
-
-_TOROIDAL_CHIRAL = {
-    "1": True, ".": True,
-    "\\/pm": True, "\\/pg": True, "\\/cm": True,
-    "//pm": True, "//pg": True, "//cm": True,
-    "X/p2mm": True, "X/p2mg": True, "X/p2gm": True, "X/p2gg": True, "X/c2mm": True,
-    "|/pm": False, "|/pg": False, "|/cm": False,
-    "+/p2mm": False, "+/p2mg": False, "+/p2gg": False, "+/c2mm": False,
-    "L": False,
-    "*/p4mmU": False, "*/p4gmU": False, "*/p4mmS": False, "*/p4gmS": False,
-}
-
-TOROIDAL_FAMILIES = {
-    fam: ToroidalFamily(fam, _TOROIDAL_PARAMS[fam], _TOROIDAL_CHIRAL[fam])
-    for fam in _TOROIDAL_PARAMS
-}
 
 
 def _toroidal_generators(family: str, p: dict):
@@ -545,7 +542,7 @@ _MINUS_STAR = reflection(ONE, MINUS_ONE)
 
 @lru_cache(maxsize=None)
 def _polyhedral_group(name: str) -> PointGroup:
-    if name in POLYHEDRAL_CHIRAL:
+    if POLYHEDRAL_FAMILIES[name].chiral:
         return _polyhedral_chiral(name)
     base, ext = name.rsplit(".", 1)
     G = _polyhedral_chiral(base)
@@ -562,39 +559,43 @@ def _polyhedral_group(name: str) -> PointGroup:
     return extend_achiral(G, e)
 
 
-POLYHEDRAL_CHIRAL = {
-    "+-[TxT]": 288, "+-1/3[TxT]": 96, "+-[TxO]": 576, "+-[OxT]": 576,
-    "+-[TxI]": 1440, "+-[IxT]": 1440, "+-[OxO]": 1152, "+-1/2[OxO]": 576,
-    "+-1/6[OxO]": 192, "+-[OxI]": 2880, "+-[IxO]": 2880, "+-[IxI]": 7200,
-    "+-1/60[IxIb]": 120, "+1/60[IxIb]": 60,
-}
+@dataclass(frozen=True)
+class PolyhedralFamily:
+    name: str      # Conway-Smith name
+    order: int
+    chiral: bool
+    coxeter: str   # Coxeter-style alias, accepted by parse_spec
 
-POLYHEDRAL_ACHIRAL = {
-    "+-[IxI].2": 14400, "+-[OxO].2": 2304, "+-1/2[OxO].2": 1152,
-    "+-1/2[OxO].2b": 1152, "+-[TxT].2": 576, "+-1/6[OxO].2": 384,
-    "+-1/3[TxT].2": 192, "+-1/3[TxT].2b": 192, "+-1/60[IxIb].2": 240,
-    "+1/60[IxIb].23": 120, "+1/60[IxIb].21": 120,
-}
 
-POLYHEDRAL_ORDERS = {**POLYHEDRAL_CHIRAL, **POLYHEDRAL_ACHIRAL}
+POLYHEDRAL_FAMILIES = {f.name: f for f in (
+    PolyhedralFamily("+-[TxT]", 288, True, "[+3,4,3+]"),
+    PolyhedralFamily("+-1/3[TxT]", 96, True, "[+3,3,4+]"),
+    PolyhedralFamily("+-[TxO]", 576, True, "[[+3,4,3+]]R"),
+    PolyhedralFamily("+-[OxT]", 576, True, "[[+3,4,3+]]L"),
+    PolyhedralFamily("+-[TxI]", 1440, True, "[3,3,5]+_1/5R"),
+    PolyhedralFamily("+-[IxT]", 1440, True, "[3,3,5]+_1/5L"),
+    PolyhedralFamily("+-[OxO]", 1152, True, "[[3,4,3]]+"),
+    PolyhedralFamily("+-1/2[OxO]", 576, True, "[3,4,3]+"),
+    PolyhedralFamily("+-1/6[OxO]", 192, True, "[3,3,4]+"),
+    PolyhedralFamily("+-[OxI]", 2880, True, "[[3,3,5]+_1/5R]"),
+    PolyhedralFamily("+-[IxO]", 2880, True, "[[3,3,5]+_1/5L]"),
+    PolyhedralFamily("+-[IxI]", 7200, True, "[3,3,5]+"),
+    PolyhedralFamily("+-1/60[IxIb]", 120, True, "[[3,3,3]]+"),
+    PolyhedralFamily("+1/60[IxIb]", 60, True, "[3,3,3]+"),
+    PolyhedralFamily("+-[IxI].2", 14400, False, "[3,3,5]"),
+    PolyhedralFamily("+-[OxO].2", 2304, False, "[[3,4,3]]"),
+    PolyhedralFamily("+-1/2[OxO].2", 1152, False, "[3,4,3]"),
+    PolyhedralFamily("+-1/2[OxO].2b", 1152, False, "[[3,4,3]+]"),
+    PolyhedralFamily("+-[TxT].2", 576, False, "[3,4,3+]"),
+    PolyhedralFamily("+-1/6[OxO].2", 384, False, "[3,3,4]"),
+    PolyhedralFamily("+-1/3[TxT].2", 192, False, "[+3,3,4]"),
+    PolyhedralFamily("+-1/3[TxT].2b", 192, False, "[3,3,4+]"),
+    PolyhedralFamily("+-1/60[IxIb].2", 240, False, "[[3,3,3]]"),
+    PolyhedralFamily("+1/60[IxIb].23", 120, False, "[3,3,3]"),
+    PolyhedralFamily("+1/60[IxIb].21", 120, False, "[[3,3,3]+]"),
+)}
 
-# Coxeter-style aliases for the polyhedral groups
-POLYHEDRAL_COXETER = {
-    "+-[IxI].2": "[3,3,5]", "+-[IxI]": "[3,3,5]+",
-    "+-[IxT]": "[3,3,5]+_1/5L", "+-[TxI]": "[3,3,5]+_1/5R",
-    "+-[IxO]": "[[3,3,5]+_1/5L]", "+-[OxI]": "[[3,3,5]+_1/5R]",
-    "+-[OxO].2": "[[3,4,3]]", "+-[OxO]": "[[3,4,3]]+",
-    "+-1/2[OxO].2": "[3,4,3]", "+-1/2[OxO]": "[3,4,3]+",
-    "+-1/2[OxO].2b": "[[3,4,3]+]",
-    "+-[TxT].2": "[3,4,3+]", "+-[TxT]": "[+3,4,3+]",
-    "+-[OxT]": "[[+3,4,3+]]L", "+-[TxO]": "[[+3,4,3+]]R",
-    "+-1/6[OxO].2": "[3,3,4]", "+-1/6[OxO]": "[3,3,4]+",
-    "+-1/3[TxT].2": "[+3,3,4]", "+-1/3[TxT].2b": "[3,3,4+]",
-    "+-1/3[TxT]": "[+3,3,4+]",
-    "+-1/60[IxIb].2": "[[3,3,3]]", "+-1/60[IxIb]": "[[3,3,3]]+",
-    "+1/60[IxIb]": "[3,3,3]+", "+1/60[IxIb].23": "[3,3,3]",
-    "+1/60[IxIb].21": "[[3,3,3]+]",
-}
+POLYHEDRAL_ORDERS = {name: f.order for name, f in POLYHEDRAL_FAMILIES.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -674,27 +675,23 @@ def _axial_order(family: str) -> int:
     return base * 2 if kind == "prism" else base
 
 
+def _axial_chiral(family: str) -> bool:
+    """Pyramidal groups are chiral iff the 3D group has no improper part;
+    prismatic groups never are; a hybrid h<g is chiral iff h has no improper
+    part and the same proper part as g."""
+    kind, g3, sub = _axial_parse(family)
+    if kind == "prism":
+        return False
+    if kind == "pyr":
+        return _G3[g3][1] is None
+    return _G3[sub][1] is None and _G3[sub][0] == _G3[g3][0]
+
+
 AXIAL_FAMILIES = (
     [f"pyr:{g}" for g in _G3]
     + [f"prism:{g}" for g in _G3]
     + [f"hyb:{h}<{g}" for h, g in HYBRIDS]
 )
-
-# Conway-Smith names for the axial groups (for display only)
-AXIAL_CS_NAMES = {
-    "pyr:+-I": "+1/60[IxI].23", "pyr:+I": "+1/60[IxI]",
-    "pyr:+-O": "+1/24[OxO].23", "pyr:+O": "+1/24[OxO]",
-    "pyr:TO": "+1/12[TxTb].21", "pyr:+-T": "+1/12[TxT].23",
-    "pyr:+T": "+1/12[TxT]",
-    "prism:+-I": "+-1/60[IxI].2", "prism:+I": "+1/60[IxI].21",
-    "prism:+-O": "+-1/24[OxO].2", "prism:+O": "+1/24[OxO].21",
-    "prism:TO": "+1/24[OxOb].21", "prism:+-T": "+-1/12[TxT].2",
-    "prism:+T": "+1/12[TxT].21",
-    "hyb:+I<+-I": "+-1/60[IxI]", "hyb:+-T<+-O": "+1/24[OxOb].23",
-    "hyb:+O<+-O": "+-1/24[OxO]", "hyb:TO<+-O": "+-1/12[TxTb].2",
-    "hyb:+T<+-T": "+-1/12[TxT]", "hyb:+T<+O": "+1/12[TxTb].23",
-    "hyb:+T<TO": "+1/24[OxOb]",
-}
 
 
 # ---------------------------------------------------------------------------
@@ -705,10 +702,21 @@ def spec_order(spec: GroupSpec) -> int:
         fam = TUBICAL_FAMILIES[tubical_base(spec.family)]
         return fam.order_factor * spec.param("n")
     if spec.kind == "toroidal":
-        return _toroidal_order(spec.family, dict(spec.params))
+        return TOROIDAL_FAMILIES[spec.family].order_factor * _lattice_size(dict(spec.params))
     if spec.kind == "polyhedral":
         return POLYHEDRAL_ORDERS[spec.family]
     return _axial_order(spec.family)
+
+
+def spec_chiral(spec: GroupSpec) -> bool:
+    """True if the catalog group has no orientation-reversing element."""
+    if spec.kind == "tubical":
+        return True
+    if spec.kind == "toroidal":
+        return TOROIDAL_FAMILIES[spec.family].chiral
+    if spec.kind == "polyhedral":
+        return POLYHEDRAL_FAMILIES[spec.family].chiral
+    return _axial_chiral(spec.family)
 
 
 def constraints_ok(spec: GroupSpec) -> bool:
@@ -783,47 +791,37 @@ def cs_name_type1(spec: GroupSpec) -> str:
 def _toroidal_specs_of_order(N: int):
     specs = []
     for fam, info in TOROIDAL_FAMILIES.items():
+        if N % info.order_factor:
+            continue
+        size = N // info.order_factor
         names = info.param_names
         if names == ("m", "n", "s"):
-            half = N if fam == "1" else (N // 2 if N % 2 == 0 else 0)
-            if not half:
-                continue
-            for m in range(1, half + 1):
-                if half % m:
+            for m in range(1, size + 1):
+                if size % m:
                     continue
-                n = half // m
+                n = size // m
                 for s in _s_range(m, n):
                     sp = toroidal_spec(fam, m=m, n=n, s=s)
                     if constraints_ok(sp):
                         specs.append(sp)
         elif names == ("m", "n"):
-            base = _toroidal_order(fam, {"m": 1, "n": 1})
-            if N % base:
-                continue
-            mn = N // base
-            for m in range(1, mn + 1):
-                if mn % m:
+            for m in range(1, size + 1):
+                if size % m:
                     continue
-                sp = toroidal_spec(fam, m=m, n=mn // m)
+                sp = toroidal_spec(fam, m=m, n=size // m)
                 if constraints_ok(sp):
                     specs.append(sp)
         elif names == ("a", "b"):
-            if N % 4:
-                continue
-            c2 = N // 4
-            for b in range(isqrt(c2 // 2) + 1):
-                a2 = c2 - b * b
+            for b in range(isqrt(size // 2) + 1):
+                a2 = size - b * b
                 a = isqrt(a2)
                 if a * a == a2 and a >= b:
                     sp = toroidal_spec(fam, a=a, b=b)
                     if constraints_ok(sp):
                         specs.append(sp)
         else:  # ("n",)
-            base = 8 if fam.endswith("U") else 16
-            if N % base:
-                continue
-            k = isqrt(N // base)
-            if base * k * k == N:
+            k = isqrt(size)
+            if k * k == size:
                 sp = toroidal_spec(fam, n=k)
                 if constraints_ok(sp):
                     specs.append(sp)
@@ -886,11 +884,8 @@ def parse_spec(text: str) -> GroupSpec:
         return toroidal_spec(fam, **params)
     if text.startswith("poly:"):
         name = text[5:]
-        for cs, cox in POLYHEDRAL_COXETER.items():
-            if name == cox:
-                name = cs
-                break
-        if name not in POLYHEDRAL_ORDERS:
+        name = next((f.name for f in POLYHEDRAL_FAMILIES.values() if f.coxeter == name), name)
+        if name not in POLYHEDRAL_FAMILIES:
             raise ParseError(f"unknown polyhedral group {name!r}")
         return polyhedral_spec(name)
     if text.startswith("axial:"):

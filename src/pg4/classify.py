@@ -12,10 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .algebra import quat_neg
 from .catalog import (
     AXIAL_FAMILIES,
     GroupSpec,
-    POLYHEDRAL_ORDERS,
+    POLYHEDRAL_FAMILIES,
     TUBICAL_FAMILIES,
     build,
     polyhedral_spec,
@@ -66,41 +67,17 @@ def _mirror_group(G: PointGroup) -> PointGroup:
     return from_elements(els)
 
 
-def _right_kernel(G: PointGroup) -> frozenset:
-    from .algebra import quat_neg
-    out = set()
+def _kernels(G: PointGroup) -> tuple:
+    """(L0, R0): the l of the elements [l, 1] and the r of the elements [1, r], both signs."""
+    L0, R0 = set(), set()
     for g in G.elements:
-        if not g.star and g.l == ONE:
-            out.add(g.r)
-            out.add(quat_neg(g.r))
-    return frozenset(out)
-
-
-def _left_kernel(G: PointGroup) -> frozenset:
-    from .algebra import quat_neg
-    out = set()
-    for g in G.elements:
-        if not g.star and g.r == ONE:
-            out.add(g.l)
-            out.add(quat_neg(g.l))
-    return frozenset(out)
-
-
-# family -> (left type, order factor, R type kind, R size / n, R0 kind,
-#            R0 size / n, L0 type)
-_TUBICAL_SHAPE = {
-    "+-[IxC]": ("I", 120, "C", 1, "C", 1, "I"),
-    "+-[OxC]": ("O", 48, "C", 1, "C", 1, "O"),
-    "+-1/2[OxC2]": ("O", 48, "C", 2, "C", 1, "T"),
-    "+-[TxC]": ("T", 24, "C", 1, "C", 1, "T"),
-    "+-1/3[TxC3]": ("T", 24, "C", 3, "C", 1, "D4"),
-    "+-[IxD2]": ("I", 240, "D", 1, "D", 1, "I"),
-    "+-[OxD2]": ("O", 96, "D", 1, "D", 1, "O"),
-    "+-1/2[OxDb4]": ("O", 96, "D", 2, "D", 1, "T"),
-    "+-1/2[OxD2]": ("O", 48, "D", 1, "C", 1, "T"),
-    "+-1/6[OxD6]": ("O", 48, "D", 3, "C", 1, "D4"),
-    "+-[TxD2]": ("T", 48, "D", 1, "D", 1, "T"),
-}
+        if g.star:
+            continue
+        if g.r == ONE:
+            L0.update((g.l, quat_neg(g.l)))
+        if g.l == ONE:
+            R0.update((g.r, quat_neg(g.r)))
+    return frozenset(L0), frozenset(R0)
 
 
 def _quat_group_shape(S: frozenset):
@@ -116,23 +93,23 @@ def _classify_tubical_left(G: PointGroup) -> GroupSpec:
     L, R = left_right_groups(G)
     ltype = classify_quat_group(L)
     rshape = _quat_group_shape(R)
-    r0shape = _quat_group_shape(_right_kernel(G))
-    l0 = classify_quat_group(_left_kernel(G))
+    L0, R0 = _kernels(G)
+    r0shape = _quat_group_shape(R0)
+    l0 = classify_quat_group(L0)
     if l0.kind == "D" and l0.n == 2:
         l0tag = "D4"
     else:
         l0tag = l0.kind
-    for fam, (P, fac, rk, rmul, r0k, r0mul, l0k) in _TUBICAL_SHAPE.items():
-        if P != ltype.kind or l0k != l0tag:
+    for fam in TUBICAL_FAMILIES.values():
+        if fam.left_type != ltype.kind or fam.l0 != l0tag:
             continue
-        if len(G.elements) % fac:
+        n, rem = divmod(len(G.elements), fam.order_factor)
+        if rem or n < fam.n_min:
             continue
-        n = len(G.elements) // fac
-        if n < TUBICAL_FAMILIES[fam].n_min:
-            continue
+        (rk, rmul), (r0k, r0mul) = fam.r_shape, fam.r0_shape
         if rshape != (rk, rmul * n) or r0shape != (r0k, r0mul * n):
             continue
-        spec = tubical_spec(fam, n)
+        spec = tubical_spec(fam.name, n)
         if equals(build(spec), G):
             return spec
     raise ClassificationError("no tubical catalog match (non-standard coordinates?)")
@@ -141,10 +118,8 @@ def _classify_tubical_left(G: PointGroup) -> GroupSpec:
 @lru_cache(maxsize=None)
 def _finite_catalog_by_order():
     index = {}
-    for name in POLYHEDRAL_ORDERS:
-        index.setdefault(POLYHEDRAL_ORDERS[name], []).append(polyhedral_spec(name))
-    for fam in AXIAL_FAMILIES:
-        sp = GroupSpec("axial", fam)
+    for sp in ([polyhedral_spec(name) for name in POLYHEDRAL_FAMILIES]
+               + [GroupSpec("axial", fam) for fam in AXIAL_FAMILIES]):
         index.setdefault(spec_order(sp), []).append(sp)
     return index
 

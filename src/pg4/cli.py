@@ -24,10 +24,6 @@ from .transform import transform_from_json
 SCHEMA = "pg4/1"
 
 
-class DomainError(Exception):
-    pass
-
-
 def _emit(obj):
     sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
 
@@ -123,9 +119,7 @@ def _cmd_catalog(args):
         if sp.kind == "toroidal" and sp.family == "1" and args.cs_names:
             row["cs_name"] = cs_name_type1(sp)
         if sp.kind == "polyhedral":
-            cox = catalog.POLYHEDRAL_COXETER.get(sp.family)
-            if cox:
-                row["coxeter"] = cox
+            row["coxeter"] = catalog.POLYHEDRAL_FAMILIES[sp.family].coxeter
         _emit(row)
 
 

@@ -14,9 +14,10 @@ from math import isqrt
 
 from .catalog import (
     AXIAL_FAMILIES,
-    POLYHEDRAL_ORDERS,
+    POLYHEDRAL_FAMILIES,
+    TOROIDAL_FAMILIES,
     TUBICAL_FAMILIES,
-    TUBICAL_LEFT,
+    _axial_chiral,
     _axial_order,
     build,
     spec_order,
@@ -34,12 +35,11 @@ class OrderCensus:
     @property
     def chiral_toroidal(self) -> int:
         return sum(v for k, v in self.per_family.items()
-                   if k.startswith("tor") and _TOR_CHIRAL[k])
+                   if k.startswith("tor") and k not in _TOR_ACHIRAL_KEYS)
 
     @property
     def achiral_toroidal(self) -> int:
-        return sum(v for k, v in self.per_family.items()
-                   if k.startswith("tor") and not _TOR_CHIRAL[k])
+        return sum(v for k, v in self.per_family.items() if k in _TOR_ACHIRAL_KEYS)
 
     @property
     def tubical(self) -> int:
@@ -72,10 +72,9 @@ class OrderCensus:
         return d
 
 
-_TOR_CHIRAL = {
-    "tor:1": True, "tor:.": True, "tor:\\": True, "tor:/": True, "tor:X": True,
-    "tor:|": False, "tor:+": False, "tor:L": False, "tor:*": False,
-}
+# census keys "tor:" + family[0] of the achiral toroidal families
+_TOR_ACHIRAL_KEYS = frozenset(
+    "tor:" + f.family[0] for f in TOROIDAL_FAMILIES.values() if not f.chiral)
 
 
 def _divisors(x: int):
@@ -146,25 +145,13 @@ def count_order(N: int) -> OrderCensus:
     f["tor:L"] = _count_swapturn(N)
     f["tor:*"] = _count_full_torus(N)
     f["tubical"] = _count_tubical(N)
-    f["polyhedral"] = sum(1 for v in POLYHEDRAL_ORDERS.values() if v == N)
+    f["polyhedral"] = sum(1 for p in POLYHEDRAL_FAMILIES.values() if p.order == N)
     f["axial"] = sum(1 for fam in AXIAL_FAMILIES if _axial_order(fam) == N)
-    c.achiral_poly = sum(1 for k, v in POLYHEDRAL_ORDERS.items()
-                         if v == N and "." in k)
+    c.achiral_poly = sum(1 for p in POLYHEDRAL_FAMILIES.values()
+                         if p.order == N and not p.chiral)
     c.achiral_axial = sum(1 for fam in AXIAL_FAMILIES
                           if _axial_order(fam) == N and not _axial_chiral(fam))
     return c
-
-
-def _axial_chiral(fam: str) -> bool:
-    kind, rest = fam.split(":", 1)
-    if kind == "pyr":
-        return rest in ("+T", "+O", "+I")
-    if kind == "prism":
-        return False
-    h, g = rest.split("<", 1)
-    chiral_h = h in ("+T", "+O", "+I")
-    achiral_g = g not in ("+T", "+O", "+I")
-    return chiral_h and achiral_g
 
 
 def _count_swapturn(N: int) -> int:
@@ -195,8 +182,7 @@ def _count_full_torus(N: int) -> int:
 
 def _count_tubical(N: int) -> int:
     cnt = 0
-    for fam in TUBICAL_LEFT:
-        info = TUBICAL_FAMILIES[fam]
+    for info in TUBICAL_FAMILIES.values():
         if N % info.order_factor == 0 and N // info.order_factor >= info.n_min:
             cnt += 2  # left and right variants
     return cnt

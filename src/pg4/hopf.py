@@ -14,7 +14,7 @@ from math import acos, cos, sin
 
 import numpy as np
 
-from .transform import Transform4, apply
+from .transform import Transform4, _mul4
 from .algebra import quat_float4
 
 TOL = 1e-9
@@ -29,14 +29,7 @@ def _unit(v) -> np.ndarray:
 
 
 def _qmul(a, b):
-    w1, x1, y1, z1 = a
-    w2, x2, y2, z2 = b
-    return np.array([
-        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-    ])
+    return np.array(_mul4(a, b))
 
 
 def _conj(a):
@@ -94,20 +87,9 @@ class GreatCircle:
         return _qmul(self.base_point(), _exp_pure(self.q, theta))
 
     def contains(self, x, tol: float = TOL) -> bool:
-        x = np.asarray(x, dtype=float)
-        g = Transform4Like(self.p, self.q)
-        return np.linalg.norm(g.apply(x) - x) < tol
-
-
-class Transform4Like:
-    """Float-only [p, q] used for the fixpoint membership test."""
-
-    def __init__(self, p, q):
-        self.p = _pure(p)
-        self.q = _pure(q)
-
-    def apply(self, x):
-        return _qmul(_qmul(_conj(self.p), np.asarray(x, float)), self.q)
+        """x is fixed by the half-turn [p, q], which moves a point by twice
+        its distance from the circle's plane."""
+        return 2 * circle_residual(x, self) < tol
 
 
 def circle_sample(K: GreatCircle, theta: float) -> np.ndarray:
@@ -124,13 +106,6 @@ def hopf_map(x, q0) -> np.ndarray:
     """Left Hopf map h^{q0}: x -> x q0 x̄ (a point of S^2)."""
     x = np.asarray(x, dtype=float)
     q = _qmul(_qmul(x, _pure(_unit(q0))), _conj(x))
-    return q[1:]
-
-
-def hopf_map_right(x, q0) -> np.ndarray:
-    """Right Hopf map h_{q0}: x -> x̄ q0 x."""
-    x = np.asarray(x, dtype=float)
-    q = _qmul(_qmul(_conj(x), _pure(_unit(q0))), x)
     return q[1:]
 
 

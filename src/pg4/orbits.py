@@ -155,7 +155,6 @@ def orbit_circle_polygon(G: PointGroup, spec: GroupSpec, kind: str) -> int:
     """Number of orbit points on the orbit circle over a rotation center."""
     p = center_of(spec, kind)
     if spec.family != tubical_base(spec.family):  # right variant: mirror bundle
-        K = GreatCircle.make(p, p)  # placeholder; right groups use H_p
         raise ValueError("orbit_circle_polygon expects a left tubical group")
     K = GreatCircle.make(p, [1.0, 0.0, 0.0])
     v = K.sample(0.05)

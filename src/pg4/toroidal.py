@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import CycloQuat, exp_i
+from .algebra import CycloQuat, RepresentationError, exp_i
 from .catalog import (
     GroupSpec,
     SpecError,
@@ -436,7 +436,7 @@ def _probe_equal(G1: PointGroup, G2: PointGroup, h: Transform4) -> bool:
         if any(conjugate_elem(g, h) not in G1.elements for g in probes):
             return False
         return equals(conjugate(G2, h), G1)
-    except Exception:
+    except (RepresentationError, NotToroidalError):
         return False
 
 
@@ -453,7 +453,7 @@ def _standard_conjugator(G1: PointGroup, G2: PointGroup):
         try:
             G2d = conjugate(G2, hd)
             reps2 = to_torus_rep(G2d)
-        except Exception:
+        except (RepresentationError, NotToroidalError):
             continue
         if Counter(r.tag for r in reps2) != tags1:
             continue
@@ -510,7 +510,7 @@ def duplication_conjugator(spec1: GroupSpec, spec2: GroupSpec):
             try:
                 G2a = conjugate(G2, h1)
                 to_torus_rep(G2a)
-            except Exception:
+            except (RepresentationError, NotToroidalError):
                 continue
             h2 = _standard_conjugator(G1, G2a)
             if h2 is None:
@@ -519,7 +519,7 @@ def duplication_conjugator(spec1: GroupSpec, spec2: GroupSpec):
                 h = compose(h1, h2)
                 if _probe_equal(G1, G2, h):
                     return (h,)
-            except Exception:
+            except (RepresentationError, NotToroidalError):
                 pass
             return (h1, h2)
     return None

@@ -14,6 +14,7 @@ from pg4.catalog import (
     parse_spec,
     polyhedral_spec,
     right_variant,
+    spec_chiral,
     spec_order,
     toroidal_spec,
     tubical_spec,
@@ -107,6 +108,24 @@ def test_toroidal_orders_and_chirality():
         if not fam_chiral:
             rev = sum(1 for g in G.elements if g.star)
             assert 2 * rev == order(G)
+
+
+def test_record_chirality_matches_built_group():
+    # every finite group, and the smallest in-range member of each infinite family
+    specs = ([polyhedral_spec(name) for name in POLYHEDRAL_ORDERS]
+             + [GroupSpec("axial", fam) for fam in AXIAL_FAMILIES])
+    for fam in TUBICAL_LEFT:
+        info = TUBICAL_FAMILIES[fam]
+        specs += [tubical_spec(fam, info.n_min), tubical_spec(info.mirror_name, info.n_min)]
+    smallest = {}
+    for sp in list_catalog(72):
+        if sp.kind == "toroidal":
+            smallest.setdefault(sp.family, sp)
+    assert len(smallest) == 25
+    specs += smallest.values()
+    assert len(specs) == 46 + 22 + 25
+    for sp in specs:
+        assert spec_chiral(sp) == is_chiral(build(sp)), sp.spec_string()
 
 
 def test_figure_group():

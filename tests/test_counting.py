@@ -8,6 +8,7 @@ from pg4.counting import (
     count_order,
     count_self_mirror,
 )
+from pg4.catalog import spec_order
 
 
 def test_order_100_breakdown():
@@ -70,6 +71,21 @@ def test_brute_force_agreement():
         assert b.total == c.total, N
         for key, val in b.per_family.items():
             assert c.per_family.get(key, 0) == val, (N, key)
+
+
+def test_census_matches_catalog_specs():
+    # the closed forms against spec-level enumeration, split by record chirality
+    from collections import Counter, defaultdict
+    from pg4.catalog import list_catalog, spec_chiral
+    per_family, chiral = defaultdict(Counter), defaultdict(Counter)
+    for sp in list_catalog(1000):
+        N = spec_order(sp)
+        per_family[N]["tor:" + sp.family[0] if sp.kind == "toroidal" else sp.kind] += 1
+        chiral[N][spec_chiral(sp)] += 1
+    for N in range(1, 1001):
+        c = count_order(N)
+        assert {k: v for k, v in c.per_family.items() if v} == per_family[N], N
+        assert (c.chiral, c.achiral) == (chiral[N][True], chiral[N][False]), N
 
 
 def test_brute_force_examples():

@@ -154,6 +154,20 @@ def test_duplication_rows_small():
                       build_unchecked(sp)), sp.spec_string()
 
 
+def test_duplication_conjugator_lets_real_errors_through(monkeypatch):
+    # only a failed representation or a non-toroidal conjugate means "no match"
+    import pg4.toroidal
+
+    def broken(G, h):
+        raise TypeError("bug")
+
+    sp = toroidal_spec("X/c2mm", m=1, n=3)
+    target = canonicalize_duplicates(sp)
+    monkeypatch.setattr(pg4.toroidal, "conjugate", broken)
+    with pytest.raises(TypeError):
+        duplication_conjugator.__wrapped__(sp, target)
+
+
 def test_canonical_spec_unchanged():
     for text in ("tor:1:m=2,n=5,s=1", "tor:X/c2mm:m=5,n=5", "tor:L:a=4,b=3"):
         sp = parse_spec(text)
