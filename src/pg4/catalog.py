@@ -29,7 +29,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, floor, isqrt
+from math import gcd, isqrt
 from typing import Callable
 
 from .algebra import CycloQuat, exp_i, quat_mul, quat_neg
@@ -269,15 +269,15 @@ def _lattice_size(p: dict) -> int:
 
 
 def _s_range(m: int, n: int):
-    lo, hi = -Q(m, 2), Q(n - m, 2)
-    return range(ceil(lo), floor(hi) + 1)
+    """The shifts s with -m <= 2 s <= n - m."""
+    return range(-(m // 2), (n - m) // 2 + 1)
 
 
 def _toroidal_in_range(family: str, p: dict) -> bool:
     m, n = p.get("m", 0), p.get("n", 0)
     if family in ("1", "."):
         s = p["s"]
-        if m < 1 or n < 1 or not (-Q(m, 2) <= s <= Q(n - m, 2)):
+        if m < 1 or n < 1 or not (-m <= 2 * s <= n - m):
             return False
         return family == "1" or (m, n) not in ((1, 1), (2, 1))
     if family == "\\/pm":
@@ -755,20 +755,29 @@ def build(spec: GroupSpec) -> PointGroup:
 # ---------------------------------------------------------------------------
 # Conway-Smith name for torus translation groups
 
+def _cs_lattice_counts(m: int, n: int, s: int):
+    """(diploid, k_r) of the tor:1 lattice (m, n, s): whether it holds the
+    point (1/2, 1/2), and how many of its points lie on x + y = 0 (mod 1)."""
+    # The translation lattice, in units of 2pi/(2mn), is the set of points
+    # (2na + 2b(m+s), 2na + 2b(s-m)) mod 2mn, a in [0, m), b in [0, n).
+    # Row b is m distinct points; rows b and b + n/2 coincide when n and
+    # m + s are even, and rows are otherwise disjoint.
+    rows = n // 2 if n % 2 == 0 and (m + s) % 2 == 0 else n
+    # (1/2, 1/2) = (mn, mn) lies on row 0 (a = m/2) or on row n/2 (2a = -s mod 2m)
+    diploid = m % 2 == 0 or (n % 2 == 0 and s % 2 == 0)
+    # on the anti-diagonal x + y = 0: 2n a = -2b s (mod mn), which has
+    # gcd(2, m) solutions a in [0, m) when n gcd(2, m) divides 2bs, else none
+    g = n * gcd(2, m)
+    k_r = gcd(2, m) * sum(1 for b in range(rows) if (2 * b * s) % g == 0)
+    return diploid, k_r
+
+
 def cs_name_type1(spec: GroupSpec) -> str:
     """Conway-Smith name ±(1/f)[C_m^(s') x C_n] / +(1/f)[...] of a ⊙1 group."""
     if spec.kind != "toroidal" or spec.family != "1":
         raise SpecError("cs_name_type1 expects a torus translation spec")
     m, n, s = spec.param("m"), spec.param("n"), spec.param("s")
-    # translation lattice in units of 2pi
-    pts = set()
-    for a in range(m):
-        for b in range(n):
-            x = Q(a, m) + b * (Q(1, n) + Q(s, m * n))
-            y = Q(a, m) + b * Q(s, m * n) - Q(b, n)
-            pts.add((x % 1, y % 1))
-    diploid = (Q(1, 2), Q(1, 2)) in pts
-    k_r = sum(1 for x, y in pts if (x + y) % 1 == 0)
+    diploid, k_r = _cs_lattice_counts(m, n, s)
     f = (2 * n if diploid else n) // k_r
     if diploid:
         m_cs = m * f // 2

@@ -22,7 +22,7 @@ from .catalog import (
     build,
     spec_order,
 )
-from .group import equals
+from .group import equals, is_chiral
 
 
 @dataclass
@@ -274,4 +274,9 @@ def brute_force_census(N: int) -> OrderCensus:
         else:
             key = sp.kind
         c.per_family[key] = c.per_family.get(key, 0) + 1
+        # chirality of the finite groups from the built elements, not the records
+        if sp.kind == "polyhedral" and not is_chiral(G):
+            c.achiral_poly += 1
+        elif sp.kind == "axial" and not is_chiral(G):
+            c.achiral_axial += 1
     return c

@@ -5,8 +5,11 @@ toroidal transformation is a directional part from the dihedral group D8 of
 the square grid plus a translation.  The directional tag is read off the
 quaternion pair: the reversing flag together with the two j-bits.
 
-All torus data here lives in units of 2*pi, i.e. translations are pairs of
-Fractions mod 1.
+All torus data here lives in units of 2*pi.  A translation is a pair of ints
+(u1, u2) modulo one positive modulus den, standing for (u1/den, u2/den) mod 1;
+``to_torus_rep`` puts every element of a group over the same modulus, twice
+the lcm of the group's angle denominators, so lattice and mirror tests are
+plain int arithmetic.
 """
 
 from __future__ import annotations
@@ -14,8 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt, lcm
 
-from .algebra import CycloQuat, RepresentationError, exp_i
+from .algebra import CycloQuat, RepresentationError, _cyc_make
 from .catalog import (
     GroupSpec,
     SpecError,
@@ -27,8 +31,6 @@ from .catalog import (
 from .constants import MINUS_K, ONE, QI, QJ, QK
 from .group import PointGroup, conjugate, equals
 from .transform import Transform4, rotation
-
-Q = Fraction
 
 # (reversing, jbit_l, jbit_r) -> directional tag
 TAG_OF_BITS = {
@@ -51,45 +53,90 @@ TAG_ACTION = {
 }
 
 
-@dataclass(frozen=True)
 class TorusElement:
-    tag: str
-    t1: Fraction
-    t2: Fraction
+    """Directional tag and translation (u1/den, u2/den) mod 1, 0 <= u < den."""
+
+    __slots__ = ("tag", "u1", "u2", "den")
+
+    def __init__(self, tag: str, u1: int, u2: int, den: int):
+        self.tag = tag
+        self.u1 = u1
+        self.u2 = u2
+        self.den = den
+
+    @property
+    def t1(self) -> Fraction:
+        return Fraction(self.u1, self.den)
+
+    @property
+    def t2(self) -> Fraction:
+        return Fraction(self.u2, self.den)
+
+    def lifted(self, den: int) -> TorusElement:
+        """The same element over a multiple den of its modulus."""
+        k = den // self.den
+        return TorusElement(self.tag, self.u1 * k, self.u2 * k, den)
+
+    def __eq__(self, other):
+        if not isinstance(other, TorusElement):
+            return NotImplemented
+        return (self.tag == other.tag and self.u1 * other.den == other.u1 * self.den
+                and self.u2 * other.den == other.u2 * self.den)
+
+    def __hash__(self):
+        return hash((self.tag, self.t1, self.t2))
+
+    def __repr__(self):
+        return f"TorusElement({self.tag!r}, {self.u1}/{self.den}, {self.u2}/{self.den})"
 
 
 class NotToroidalError(ValueError):
     pass
 
 
-def torus_element(g: Transform4) -> TorusElement:
-    """Directional tag and exact translation part of a torus-standard element."""
-    if not isinstance(g.l, CycloQuat) or not isinstance(g.r, CycloQuat):
+def torus_element(g: Transform4, den: int | None = None) -> TorusElement:
+    """Directional tag and exact translation part of a torus-standard element.
+
+    The translation is given over ``den``, a multiple of twice both angle
+    denominators of ``g``; by default the least such modulus.
+    """
+    l, r = g.l, g.r
+    if not isinstance(l, CycloQuat) or not isinstance(r, CycloQuat):
         raise NotToroidalError("element is not toroidal in standard coordinates")
-    a = g.l.t / 2  # rotation angles in units of 2*pi
-    b = g.r.t / 2
-    tag = TAG_OF_BITS[(g.star, g.l.jbit, g.r.jbit)]
+    if den is None:
+        den = 2 * lcm(l.den, r.den)
+    elif den % (2 * l.den) or den % (2 * r.den):
+        raise ValueError(f"modulus {den} is not a multiple of 2*{l.den} and 2*{r.den}")
+    # rotation angles in units of 2*pi, times den
+    a = l.num * (den // (2 * l.den))
+    b = r.num * (den // (2 * r.den))
+    h = den // 2
+    tag = TAG_OF_BITS[(g.star, l.jbit, r.jbit)]
     if tag == "1":
-        t = (b - a, -a - b)
+        t1, t2 = b - a, -a - b
     elif tag == ".":
-        t = (a - b, a + b)
+        t1, t2 = a - b, a + b
     elif tag == "/":
-        t = (Q(1, 2) - a - b, b - a)
+        t1, t2 = h - a - b, b - a
     elif tag == "\\":
-        t = (a + b, a - b + Q(1, 2))
+        t1, t2 = a + b, a - b + h
     elif tag == "|":
-        t = (b - a, Q(1, 2) - a - b)
+        t1, t2 = b - a, h - a - b
     elif tag == "-":
-        t = (a - b, a + b - Q(1, 2))
+        t1, t2 = a - b, a + b - h
     elif tag == "L":
-        t = (a + b - Q(1, 2), a - b + Q(1, 2))
+        t1, t2 = a + b - h, a - b + h
     else:  # "R"
-        t = (-a - b, b - a)
-    return TorusElement(tag, t[0] % 1, t[1] % 1)
+        t1, t2 = -a - b, b - a
+    return TorusElement(tag, t1 % den, t2 % den, den)
 
 
 def to_torus_rep(G: PointGroup) -> list:
-    return [torus_element(g) for g in G.elements]
+    """Torus elements of G, all over one modulus: twice the lcm of its angle denominators."""
+    # an element off the standard torus is rejected by torus_element
+    den = 2 * lcm(*{q.den for g in G.elements for q in (g.l, g.r)
+                    if isinstance(q, CycloQuat)})
+    return [torus_element(g, den) for g in G.elements]
 
 
 # ---------------------------------------------------------------------------
@@ -102,43 +149,51 @@ class TorusLattice:
     s: int
 
 
-def _lattice_points(translations) -> set:
-    pts = {(t.t1, t.t2) if isinstance(t, TorusElement) else (t[0] % 1, t[1] % 1)
-           for t in translations}
-    pts.add((Q(0), Q(0)))
-    return pts
+def _lattice_points(translations):
+    """(pts, den): the translations and the origin as int pairs over one modulus."""
+    dens = {t.den for t in translations}
+    if len(dens) > 1:
+        den = lcm(*dens)
+        translations = [t.lifted(den) for t in translations]
+    else:
+        den = dens.pop() if dens else 1
+    pts = {(t.u1, t.u2) for t in translations}
+    pts.add((0, 0))
+    return pts, den
 
 
 def normalize_lattice(translations) -> TorusLattice:
     """Unique (m, n, s) of a translation lattice, s in the canonical range."""
-    pts = _lattice_points(translations)
+    return _lattice_params(*_lattice_points(translations))
+
+
+def _lattice_params(pts: set, den: int) -> TorusLattice:
     m = sum(1 for x, y in pts if x == y)
-    offsets = {(x - y) % 1 for x, y in pts}
+    offsets = {(x - y) % den for x, y in pts}
     n = len(offsets)
     if m * n != len(pts):
         raise NotToroidalError("translation set is not a lattice")
     if n == 1:
         s0 = 0
     else:
-        delta = Q(1, n)
-        xs = [x for x, y in pts if (x - y) % 1 == delta]
+        delta = den // n
+        xs = [x for x, y in pts if (x - y) % den == delta] if den % n == 0 else []
         if not xs:
             raise NotToroidalError("missing first lattice line")
-        val = (xs[0] - Q(1, n)) * m * n
-        if val.denominator != 1:
+        val = (xs[0] - delta) * m * n
+        if val % den:
             raise NotToroidalError("lattice point off the parameter grid")
-        s0 = int(val) % n
+        s0 = (val // den) % n
     s = _canonical_s(m, n, s0)
     return TorusLattice(m, n, s)
 
 
 def _canonical_s(m: int, n: int, s0: int) -> int:
     """In-range representative; prefers the unflipped class s0 + nZ."""
-    lo, hi = -Q(m, 2), Q(n - m, 2)
     for base in (s0, (-m - s0) % n):
         for k in range(-(m // n + 2), 2):
             s = base + k * n
-            if lo <= s <= hi:
+            if -m <= 2 * s <= n - m:
                 return s
     raise NotToroidalError(f"no canonical s for (m={m}, n={n}, s0={s0})")
 
@@ -151,18 +206,28 @@ def _min_positive(values):
 # ---------------------------------------------------------------------------
 # classification
 
-def _axis_counts(pts):
+def _axis_counts(pts, den):
     """(m, n) for axis-aligned lattices: y-step 1/m, x-step 1/n."""
-    sx = _min_positive([x for x, y in pts if y == 0] + [Q(1)])
-    sy = _min_positive([y for x, y in pts if x == 0] + [Q(1)])
-    return int(1 / sy), int(1 / sx)
+    sx = _min_positive([x for x, y in pts if y == 0] + [den])
+    sy = _min_positive([y for x, y in pts if x == 0] + [den])
+    return den // sy, den // sx
 
 
-def _diag_counts(pts):
+def _diag_counts(pts, den):
     """(M, N): points on the principal and secondary diagonals."""
     M = sum(1 for x, y in pts if x == y)
-    N = sum(1 for x, y in pts if (x + y) % 1 == 0)
+    N = sum(1 for x, y in pts if (x + y) % den == 0)
     return M, N
+
+
+def _on_diagonal(reps) -> bool:
+    """Some element translates along the principal diagonal: t1 = t2."""
+    return any(r.u1 == r.u2 for r in reps)
+
+
+def _on_antidiagonal(reps) -> bool:
+    """Some element translates along the secondary diagonal: t1 + t2 = 0 mod 1."""
+    return any((r.u1 + r.u2) % r.den == 0 for r in reps)
 
 
 def _swap_data(G: PointGroup) -> PointGroup:
@@ -178,39 +243,37 @@ def classify_toroidal(G: PointGroup) -> GroupSpec:
     by_tag = {}
     for r in reps:
         by_tag.setdefault(r.tag, []).append(r)
-    pts = _lattice_points(by_tag.get("1", []))
+    pts, den = _lattice_points(by_tag.get("1", []))
 
-    if tags <= {"1"}:
-        lat = normalize_lattice(by_tag.get("1", []))
-        return canonicalize_duplicates(toroidal_spec("1", m=lat.m, n=lat.n, s=lat.s))
-    if tags == {"1", "."}:
-        lat = normalize_lattice(by_tag["1"])
-        return canonicalize_duplicates(toroidal_spec(".", m=lat.m, n=lat.n, s=lat.s))
+    if tags <= {"1"} or tags == {"1", "."}:
+        lat = _lattice_params(pts, den)
+        fam = "1" if tags <= {"1"} else "."
+        return canonicalize_duplicates(toroidal_spec(fam, m=lat.m, n=lat.n, s=lat.s))
 
     if tags == {"1", "|"}:
-        m, n = _axis_counts(pts)
+        m, n = _axis_counts(pts, den)
         rhombic = len(pts) == 2 * m * n
-        mirror = any(r.t2 == 0 for r in by_tag["|"])
+        mirror = any(r.u2 == 0 for r in by_tag["|"])
         sub = "cm" if (mirror and rhombic) else ("pm" if mirror else "pg")
         return canonicalize_duplicates(toroidal_spec(f"|/{sub}", m=m, n=n))
 
     if tags == {"1", "/"} or tags == {"1", "\\"}:
-        M, N = _diag_counts(pts)
+        M, N = _diag_counts(pts, den)
         rhombic = len(pts) == M * N
         if tags == {"1", "/"}:
-            mirror = any((r.t1 + r.t2) % 1 == 0 for r in by_tag["/"])
+            mirror = _on_antidiagonal(by_tag["/"])
             fam = "//"
         else:
-            mirror = any((r.t1 - r.t2) % 1 == 0 for r in by_tag["\\"])
+            mirror = _on_diagonal(by_tag["\\"])
             fam = "\\/"
         sub = "cm" if (mirror and rhombic) else ("pm" if mirror else "pg")
         return canonicalize_duplicates(toroidal_spec(fam + sub, m=M, n=N))
 
     if tags == {"1", ".", "/", "\\"}:
-        M, N = _diag_counts(pts)
+        M, N = _diag_counts(pts, den)
         rhombic = len(pts) == M * N
-        mir_s = any((r.t1 + r.t2) % 1 == 0 for r in by_tag["/"])
-        mir_b = any((r.t1 - r.t2) % 1 == 0 for r in by_tag["\\"])
+        mir_s = _on_antidiagonal(by_tag["/"])
+        mir_b = _on_diagonal(by_tag["\\"])
         if mir_s and mir_b:
             sub = "c2mm" if rhombic else "p2mm"
         elif mir_s:
@@ -222,10 +285,10 @@ def classify_toroidal(G: PointGroup) -> GroupSpec:
         return canonicalize_duplicates(toroidal_spec(f"X/{sub}", m=M, n=N))
 
     if tags == {"1", "|", "-", "."}:
-        m, n = _axis_counts(pts)
+        m, n = _axis_counts(pts, den)
         rhombic = len(pts) == 2 * m * n
-        mir_v = any(r.t2 == 0 for r in by_tag["|"])
-        mir_h = any(r.t1 == 0 for r in by_tag["-"])
+        mir_v = any(r.u2 == 0 for r in by_tag["|"])
+        mir_h = any(r.u1 == 0 for r in by_tag["-"])
         if mir_v and mir_h:
             sub = "c2mm" if rhombic else "p2mm"
         elif mir_v:
@@ -239,7 +302,7 @@ def classify_toroidal(G: PointGroup) -> GroupSpec:
         return canonicalize_duplicates(toroidal_spec(f"+/{sub}", m=m, n=n))
 
     if tags == {"1", ".", "L", "R"}:
-        a, b = _square_lattice_params(pts)
+        a, b = _square_lattice_params(pts, den)
         return canonicalize_duplicates(toroidal_spec("L", a=a, b=b))
 
     if tags == {"1", ".", "/", "\\", "|", "-", "L", "R"}:
@@ -253,10 +316,10 @@ def classify_toroidal(G: PointGroup) -> GroupSpec:
                 raise NotToroidalError("full torus group with non-square lattice")
             sub_kind, nn = "S", k
         mirrors = sum([
-            any(r.t2 == 0 for r in by_tag["|"]),
-            any(r.t1 == 0 for r in by_tag["-"]),
-            any((r.t1 + r.t2) % 1 == 0 for r in by_tag["/"]),
-            any((r.t1 - r.t2) % 1 == 0 for r in by_tag["\\"]),
+            any(r.u2 == 0 for r in by_tag["|"]),
+            any(r.u1 == 0 for r in by_tag["-"]),
+            _on_antidiagonal(by_tag["/"]),
+            _on_diagonal(by_tag["\\"]),
         ])
         sub = "p4mm" if mirrors == 4 else "p4gm"
         return canonicalize_duplicates(toroidal_spec(f"*/{sub}{sub_kind}", n=nn))
@@ -265,28 +328,20 @@ def classify_toroidal(G: PointGroup) -> GroupSpec:
 
 
 def _isqrt_exact(x: int):
-    from math import isqrt
     k = isqrt(x)
     return k if k * k == x else None
 
 
-def _square_lattice_params(pts):
+def _square_lattice_params(pts, den):
     """(a, b) with a >= b >= 0 for a square lattice of a^2 + b^2 points."""
     c2 = len(pts)
-    best = None
-    for x, y in pts:
-        if (x, y) == (0, 0):
-            continue
-        n2 = x * x + y * y
-        if best is None or n2 < best[0]:
-            best = (n2, x, y)
+    best = min(((x * x + y * y, x, y) for x, y in pts if (x, y) != (0, 0)), default=None)
     if best is None:
         return (1, 0) if c2 == 1 else (0, 0)
     _, x, y = best
-    a, b = abs(x * c2), abs(y * c2)
-    if a.denominator != 1 or b.denominator != 1:
+    if (x * c2) % den or (y * c2) % den:
         raise NotToroidalError("lattice is not a square sublattice of the grid")
-    a, b = int(a), int(b)
+    a, b = x * c2 // den, y * c2 // den
     if a < b:
         a, b = b, a
     if a * a + b * b != c2:
@@ -370,9 +425,9 @@ def _alt_torus_quats():
     ]
 
 
-def _translation_conj(d1: Fraction, d2: Fraction) -> Transform4:
-    """The torus translation R_{2pi d1, 2pi d2} as a conjugator."""
-    return rotation(exp_i(-(d1 + d2)), exp_i(d1 - d2))
+def _translation_conj(u1: int, u2: int, den: int) -> Transform4:
+    """The torus translation R_{2pi u1/den, 2pi u2/den} as a conjugator."""
+    return rotation(_cyc_make(-(u1 + u2), den, 0), _cyc_make(u1 - u2, den, 0))
 
 
 _D8_CHIRAL = None
@@ -390,43 +445,44 @@ def _d8_chiral():
     return _D8_CHIRAL
 
 
-def _delta_candidates(tag: str, src: TorusElement, targets) -> set:
-    """Solutions delta of (A_tag - I) delta = t_tgt - t_src (mod 1)."""
-    H = Q(1, 2)
+def _delta_candidates(tag: str, src: TorusElement, targets) -> list:
+    """Solutions delta of (A_tag - I) delta = t_src - t_tgt (mod 1), sorted.
+
+    src and targets share one modulus den; each delta is a pair (d1, d2)
+    standing for (d1, d2) / (2 den), so that halving stays exact.
+    """
+    den = src.den
+    M = 2 * den
     out = set()
     for tgt in targets:
-        # conjugation by R_delta sends t to t - (A - I) delta
-        D1, D2 = (src.t1 - tgt.t1) % 1, (src.t2 - tgt.t2) % 1
+        # conjugation by R_delta sends t to t - (A - I) delta; D over den
+        D1, D2 = (src.u1 - tgt.u1) % den, (src.u2 - tgt.u2) % den
         if tag == ".":
-            b1, b2 = -D1 / 2 % 1, -D2 / 2 % 1
-            out.update(((b1 + k1) % 1, (b2 + k2) % 1)
-                       for k1 in (0, H) for k2 in (0, H))
+            # -2 delta = D: delta = -D/2 + (0 or 1/2) per coordinate
+            out.update(((k1 - D1) % M, (k2 - D2) % M)
+                       for k1 in (0, den) for k2 in (0, den))
         elif tag == "|":
-            if D2 % 1 == 0:
-                b1 = -D1 / 2 % 1
-                out.update(((b1 + k) % 1, Q(0)) for k in (0, H))
+            if D2 == 0:
+                out.update(((k - D1) % M, 0) for k in (0, den))
         elif tag == "-":
-            if D1 % 1 == 0:
-                b2 = -D2 / 2 % 1
-                out.update((Q(0), (b2 + k) % 1) for k in (0, H))
+            if D1 == 0:
+                out.update((0, (k - D2) % M) for k in (0, den))
         elif tag == "/":
             # (A-I)delta = (d2-d1, d1-d2)
-            if (D1 + D2) % 1 == 0:
-                out.add((Q(0), D1 % 1))
-                out.add((H, (D1 + H) % 1))
+            if (D1 + D2) % den == 0:
+                out.add((0, 2 * D1))
+                out.add((den, (2 * D1 + den) % M))
         elif tag == "\\":
             # (A-I)delta = -(d1+d2)*(1,1)
-            if (D1 - D2) % 1 == 0:
-                out.add(((-D1) % 1, Q(0)))
+            if D1 == D2:
+                out.add((-2 * D1 % M, 0))
         elif tag == "L":
             # A delta = (-d2, d1): solve d1+d2 = -D1, d1-d2 = D2
-            b1, b2 = (-D1 + D2) / 2 % 1, (-D1 - D2) / 2 % 1
-            out.update(((b1 + k) % 1, (b2 + k) % 1) for k in (0, H))
+            out.update(((k - D1 + D2) % M, (k - D1 - D2) % M) for k in (0, den))
         elif tag == "R":
             # A delta = (d2, -d1): solve d2-d1 = D1, -(d1+d2) = D2
-            b1, b2 = (-D1 - D2) / 2 % 1, (D1 - D2) / 2 % 1
-            out.update(((b1 + k) % 1, (b2 + k) % 1) for k in (0, H))
-    return out
+            out.update(((k - D1 - D2) % M, (k + D1 - D2) % M) for k in (0, den))
+    return sorted(out)
 
 
 def _probe_equal(G1: PointGroup, G2: PointGroup, h: Transform4) -> bool:
@@ -458,17 +514,19 @@ def _standard_conjugator(G1: PointGroup, G2: PointGroup):
         if Counter(r.tag for r in reps2) != tags1:
             continue
         nontriv = sorted((r for r in reps2 if r.tag != "1"),
-                         key=lambda r: (r.tag, r.t1, r.t2))
+                         key=lambda r: (r.tag, r.u1, r.u2))
         if not nontriv:
             if G2d.elements == G1.elements:
                 return hd
             continue
         pref = ["L", "R", ".", "|", "-", "/", "\\"]
         tag = next(t for t in pref if tags1.get(t))
-        src = next(r for r in nontriv if r.tag == tag)
-        targets = [r for r in reps1 if r.tag == tag]
+        # src and targets over one shared modulus; the deltas over twice it
+        den = lcm(reps1[0].den, reps2[0].den)
+        src = next(r for r in nontriv if r.tag == tag).lifted(den)
+        targets = [r.lifted(den) for r in reps1 if r.tag == tag]
         for d1, d2 in _delta_candidates(tag, src, targets):
-            hdelta = _translation_conj(d1, d2)
+            hdelta = _translation_conj(d1, d2, 2 * den)
             if _probe_equal(G1, G2d, hdelta):
                 return compose(hd, hdelta)
     return None

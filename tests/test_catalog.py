@@ -182,10 +182,47 @@ def test_finite_fingerprints_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == FINITE_FINGERPRINTS_SHA256
 
 
+# sha256 of the scripts/catalog_digest.py lines of the toroidal list_catalog(48) specs
+TOROIDAL_DIGEST_SHA256 = "a816f40f788475c25f4d780703cc1a28d7377b81384eb0562e3d6249cfe2bee4"
+
+
+def test_toroidal_digest_pinned():
+    import hashlib
+    from pg4.classify import classify
+    specs = [sp for sp in list_catalog(48) if sp.kind == "toroidal"]
+    assert len(specs) == 1732
+    lines = []
+    for sp in specs:
+        G = build(sp)
+        lines.append(f"{sp}\t{len(G)}\t{fingerprint(G)}\t{classify(G)}")
+    text = "\n".join(lines)
+    assert hashlib.sha256(text.encode()).hexdigest() == TOROIDAL_DIGEST_SHA256
+
+
 def test_cs_name_type1():
     assert cs_name_type1(parse_spec("tor:1:m=6,n=5,s=-2")) == "+-1/5[C15(4)xC5]"
     assert cs_name_type1(parse_spec("tor:1:m=3,n=5,s=-1")) == "+1/5[C15(9)xC5]"
     assert cs_name_type1(parse_spec("tor:1:m=1,n=1,s=0")) == "+[C1xC1]"
+
+
+def _cs_lattice_counts(m, n, s):
+    """(diploid, k_r) from the full m*n translation lattice in Fractions."""
+    from fractions import Fraction as Q
+    # point (a, b) is (a/m + b(1/n + s/mn), a/m + b(s/mn - 1/n)) mod 1
+    col = [Q(a, m) for a in range(m)]
+    row = [(b * (Q(1, n) + Q(s, m * n)), b * (Q(s, m * n) - Q(1, n))) for b in range(n)]
+    pts = {((c + rx) % 1, (c + ry) % 1) for c in col for rx, ry in row}
+    diploid = (Q(1, 2), Q(1, 2)) in pts
+    k_r = sum(1 for x, y in pts if (x + y) % 1 == 0)
+    return diploid, k_r
+
+
+def test_cs_lattice_counts_match_enumeration():
+    from pg4.catalog import _cs_lattice_counts as counts
+    for sp in list_catalog(150):
+        if sp.kind == "toroidal" and sp.family == "1":
+            mns = sp.param("m"), sp.param("n"), sp.param("s")
+            assert counts(*mns) == _cs_lattice_counts(*mns), sp.spec_string()
 
 
 def test_constraints():

@@ -69,6 +69,7 @@ def test_brute_force_agreement():
         b = brute_force_census(N)
         c = count_order(N)
         assert b.total == c.total, N
+        assert (b.chiral, b.achiral) == (c.chiral, c.achiral), N
         for key, val in b.per_family.items():
             assert c.per_family.get(key, 0) == val, (N, key)
 

@@ -110,9 +110,9 @@ def test_classify_invariant_under_standard_conjugation():
         sp = parse_spec(text)
         G = build(sp)
         base = classify(G)
-        for d1, d2 in ((Fr(1, 3), Fr(0)), (Fr(1, 5), Fr(1, 7))):
-            got = classify(conjugate(G, _translation_conj(d1, d2)))
-            assert got == base, (text, d1, d2)
+        for u1, u2, den in ((1, 0, 3), (7, 5, 35)):  # (1/3, 0) and (1/5, 1/7)
+            got = classify(conjugate(G, _translation_conj(u1, u2, den)))
+            assert got == base, (text, u1, u2, den)
 
 
 def test_orders_match_formulas_to_120():

@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction as Fr
-from math import cos, pi, sin
+from math import cos, lcm, pi, sin
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pg4.algebra import CycloQuat
 from pg4.catalog import (
@@ -185,3 +187,86 @@ def test_translation_closure_under_directional_parts():
             for t in trans:
                 u, v = act(t[0], t[1])
                 assert (u % 1, v % 1) in trans
+
+
+# ---------------------------------------------------------------------------
+# the int torus representation against the Fraction formulas
+
+def _reference_torus_element(g):
+    """Tag and translation in Fractions from the angle formulas: the oracle of the int path."""
+    from pg4.toroidal import TAG_OF_BITS
+    a, b = g.l.t / 2, g.r.t / 2
+    h = Fr(1, 2)
+    tag = TAG_OF_BITS[(g.star, g.l.jbit, g.r.jbit)]
+    t = {
+        "1": (b - a, -a - b), ".": (a - b, a + b), "/": (h - a - b, b - a),
+        "\\": (a + b, a - b + h), "|": (b - a, h - a - b), "-": (a - b, a + b - h),
+        "L": (a + b - h, a - b + h), "R": (-a - b, b - a),
+    }[tag]
+    return tag, t[0] % 1, t[1] % 1
+
+
+cyclo_quats = st.builds(
+    lambda den, num, jbit: CycloQuat(Fr(num % (2 * den), den), jbit),
+    st.integers(1, 60), st.integers(0, 119), st.integers(0, 1))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.booleans(), cyclo_quats, cyclo_quats, st.integers(1, 4))
+def test_torus_element_matches_fraction_reference(star, l, r, k):
+    g = Transform4(star, l, r)
+    want = _reference_torus_element(g)
+    te = torus_element(g)
+    assert (te.tag, te.t1, te.t2) == want
+    assert te.den == 2 * lcm(l.den, r.den) and 0 <= te.u1 < te.den and 0 <= te.u2 < te.den
+    wide = torus_element(g, k * te.den)  # any multiple of the modulus reads the same
+    assert wide.den == k * te.den and wide == te and (wide.t1, wide.t2) == want[1:]
+
+
+def test_torus_element_rejects_short_modulus():
+    g = Transform4(False, CycloQuat(Fr(1, 5)), CycloQuat(Fr(1, 3)))
+    with pytest.raises(ValueError):
+        torus_element(g, 10)
+
+
+def test_torus_rep_shares_one_modulus():
+    for text in ("tor:1:m=10,n=20,s=3", "tor:X/p2gg:m=4,n=6", "tor:L:a=4,b=3",
+                 "tor:*/p4gmS:n=3", "tor:|/cm:m=3,n=5"):
+        G = build(parse_spec(text))
+        reps = to_torus_rep(G)
+        dens = {g.l.den for g in G.elements} | {g.r.den for g in G.elements}
+        assert {r.den for r in reps} == {2 * lcm(*dens)}, text
+        assert sorted((r.tag, r.t1, r.t2) for r in reps) == sorted(
+            _reference_torus_element(g) for g in G.elements), text
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_normalize_lattice_recovers_spec(data):
+    m = data.draw(st.integers(1, 12))
+    n = data.draw(st.integers(1, 12))
+    s = data.draw(st.integers(-(m // 2), (n - m) // 2))
+    G = build(toroidal_spec("1", m=m, n=n, s=s))
+    lat = normalize_lattice(to_torus_rep(G))
+    assert (lat.m, lat.n, lat.s) == (m, n, s)
+    # elements each over their own modulus are put over a common one
+    lat = normalize_lattice([torus_element(g) for g in G.elements])
+    assert (lat.m, lat.n, lat.s) == (m, n, s)
+
+
+def test_delta_candidates_sorted_solutions():
+    from pg4.toroidal import TorusElement, _delta_candidates
+    den = 12
+    src = TorusElement(".", 5, 2, den)
+    targets = [TorusElement(".", u1, u2, den)
+               for u1, u2 in ((1, 7), (9, 0), (3, 2), (5, 11), (3, 4), (4, 1))]
+    for tag in (".", "L", "R", "|", "-", "/", "\\"):
+        got = _delta_candidates(tag, TorusElement(tag, src.u1, src.u2, den),
+                                [TorusElement(tag, t.u1, t.u2, den) for t in targets])
+        assert got and isinstance(got, list) and got == sorted(set(got)), tag
+        # each delta (over 2 den) solves (A - I) delta = t_src - t_tgt for some target
+        for d1, d2 in got:
+            u, v = TAG_ACTION[tag](Fr(d1, 2 * den), Fr(d2, 2 * den))
+            lhs = ((u - Fr(d1, 2 * den)) % 1, (v - Fr(d2, 2 * den)) % 1)
+            assert any(lhs == ((src.t1 - t.t1) % 1, (src.t2 - t.t2) % 1)
+                       for t in targets), (tag, d1, d2)
