@@ -81,11 +81,15 @@ def _divisors(x: int):
     return [d for d in range(1, x + 1) if x % d == 0]
 
 
-def _sigma0(x) -> int:
-    if x != int(x) or x < 1:
+def _part(N: int, k: int) -> int:
+    """N // k when k divides N, else 0; the counting helpers give 0 at 0."""
+    return N // k if N % k == 0 else 0
+
+
+def _sigma0(x: int) -> int:
+    if x < 1:
         return 0
-    x = int(x)
-    return sum(1 for d in range(1, x + 1) if x % d == 0)
+    return len(_divisors(x))
 
 
 def _ceil_half(x: int) -> int:
@@ -113,10 +117,9 @@ def _count_flip(N: int) -> int:
     return total
 
 
-def _count_pairs(total, cond) -> int:
-    if total != int(total) or total < 1:
+def _count_pairs(total: int, cond) -> int:
+    if total < 1:
         return 0
-    total = int(total)
     return sum(1 for m in _divisors(total) if cond(m, total // m))
 
 
@@ -127,20 +130,20 @@ def count_order(N: int) -> OrderCensus:
     f["tor:1"] = _count_type1(N)
     f["tor:."] = _count_flip(N)
     # swap groups; the / counts mirror the \ counts
-    pm = _count_pairs(N / 4, lambda m, n: m >= 2 and n >= 2)
-    pg = _count_pairs(N / 4, lambda m, n: m >= 2 and n >= 1)
-    cm = _count_pairs(N / 2, lambda m, n: m >= 3 and n >= 2 and (m - n) % 2 == 0)
+    pm = _count_pairs(_part(N, 4), lambda m, n: m >= 2 and n >= 2)
+    pg = _count_pairs(_part(N, 4), lambda m, n: m >= 2 and n >= 1)
+    cm = _count_pairs(_part(N, 2), lambda m, n: m >= 3 and n >= 2 and (m - n) % 2 == 0)
     f["tor:\\"] = pm + pg + cm
     f["tor:/"] = pm + pg + cm
     f["tor:X"] = (
-        4 * _count_pairs(N / 8, lambda m, n: m >= 2 and n >= 2)
-        + _count_pairs(N / 4, lambda m, n: m >= 3 and n >= 3 and (m - n) % 2 == 0)
+        4 * _count_pairs(_part(N, 8), lambda m, n: m >= 2 and n >= 2)
+        + _count_pairs(_part(N, 4), lambda m, n: m >= 3 and n >= 3 and (m - n) % 2 == 0)
     )
-    f["tor:|"] = 2 * _sigma0(N / 2) + _sigma0(N / 4)
-    p2mm = _count_pairs(N / 4, lambda m, n: m >= n >= 1 and (m, n) != (1, 1))
-    p2mg = _count_pairs(N / 4, lambda m, n: (m, n) != (1, 1))
+    f["tor:|"] = 2 * _sigma0(_part(N, 2)) + _sigma0(_part(N, 4))
+    p2mm = _count_pairs(_part(N, 4), lambda m, n: m >= n >= 1 and (m, n) != (1, 1))
+    p2mg = _count_pairs(_part(N, 4), lambda m, n: (m, n) != (1, 1))
     p2gg = p2mm
-    c2mm = _count_pairs(N / 8, lambda m, n: m >= n >= 1 and (m, n) != (1, 1))
+    c2mm = _count_pairs(_part(N, 8), lambda m, n: m >= n >= 1 and (m, n) != (1, 1))
     f["tor:+"] = p2mm + p2mg + p2gg + c2mm
     f["tor:L"] = _count_swapturn(N)
     f["tor:*"] = _count_full_torus(N)
@@ -191,17 +194,14 @@ def _count_tubical(N: int) -> int:
 # ---------------------------------------------------------------------------
 # self-mirror counting (chiral toroidal groups equal to their own mirror)
 
-def _unordered_factorizations(x) -> int:
-    if x != int(x) or x < 1:
-        return 0
-    return _ceil_half(_sigma0(int(x)))
+def _unordered_factorizations(x: int) -> int:
+    return _ceil_half(_sigma0(x))
 
 
-def _circle_points(x) -> int:
+def _circle_points(x: int) -> int:
     """#{(a, b): a >= b >= 0, a^2 + b^2 = x}."""
-    if x != int(x) or x < 1:
+    if x < 1:
         return 0
-    x = int(x)
     cnt = 0
     for b in range(isqrt(x // 2) + 1):
         a2 = x - b * b
@@ -211,11 +211,10 @@ def _circle_points(x) -> int:
     return cnt
 
 
-def _square_lattices(x) -> int:
+def _square_lattices(x: int) -> int:
     """Upright (x = k^2) plus slanted (x = 2 k^2) square lattices."""
-    if x != int(x) or x < 1:
+    if x < 1:
         return 0
-    x = int(x)
     cnt = 0
     k = isqrt(x)
     if k * k == x:
@@ -230,12 +229,12 @@ def _square_lattices(x) -> int:
 def count_self_mirror(N: int) -> int:
     """Chiral toroidal groups of order N that equal their own mirror image."""
     # type 1: lattices with a reflection (rectangular/rhombic) or swapturn symmetry
-    t1 = (_unordered_factorizations(N) + _unordered_factorizations(N / 2)
+    t1 = (_unordered_factorizations(N) + _unordered_factorizations(_part(N, 2))
           + _circle_points(N) - _square_lattices(N))
     # torus flip groups: same with lattice size N/2
     if N % 2 == 0:
-        t2 = (_unordered_factorizations(N / 2) + _unordered_factorizations(N / 4)
-              + _circle_points(N / 2) - _square_lattices(N / 2))
+        t2 = (_unordered_factorizations(_part(N, 2)) + _unordered_factorizations(_part(N, 4))
+              + _circle_points(_part(N, 2)) - _square_lattices(_part(N, 2)))
         if N == 2:
             t2 -= 1  # the excluded flip group on the trivial lattice
         if N == 4:

@@ -10,10 +10,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
+
+import numpy as np
 
 from .algebra import (
     CycloQuat,
     quat_conj,
+    quat_float4,
     quat_key,
     quat_mul,
     quat_neg,
@@ -49,6 +53,18 @@ class PointGroup:
 
     def __contains__(self, g):
         return g in self.elements
+
+    @cached_property
+    def float_columns(self):
+        """``(star, L, R)`` in ``elements`` iteration order: the reversing mask
+        and the float quaternion components, ``L`` and ``R`` of shape (4, N)."""
+        els = list(self.elements)
+        star = np.array([g.star for g in els], dtype=bool)
+        L = np.array([quat_float4(g.l) for g in els], dtype=float).T.copy()
+        R = np.array([quat_float4(g.r) for g in els], dtype=float).T.copy()
+        for a in (star, L, R):
+            a.flags.writeable = False  # shared by every caller
+        return star, L, R
 
 
 def generate(gens, cap: int = DEFAULT_CAP) -> PointGroup:

@@ -13,13 +13,13 @@ from fractions import Fraction
 from math import pi, sqrt
 
 import numpy as np
-from scipy.spatial import HalfspaceIntersection
+from scipy.spatial import HalfspaceIntersection, QhullError, cKDTree
 
 from .algebra import AngleFraction, CycloQuat, angle_of, quat_float4, quat_neg, quat_sign_flip
 from .catalog import GroupSpec, TUBICAL_FAMILIES, build, tubical_base
 from .group import PointGroup
 from .hopf import GreatCircle, circle_residual, rotate_s2
-from .transform import apply
+from .transform import apply_columns
 
 GOLDEN = (1 + sqrt(5)) / 2
 
@@ -39,39 +39,40 @@ class Orbit:
         return len(self.points)
 
 
-def _dedup(points, tol: float = 1e-7):
-    """Spatial-hash deduplication of float vectors."""
-    cell = {}
-    out = []
-    inv = 1.0 / tol
-    for p in points:
-        key = tuple(int(round(c * inv / 128)) for c in p)
-        hit = False
-        for key2 in _neighbor_keys(key):
-            for q in cell.get(key2, ()):
-                if np.linalg.norm(p - out[q]) < tol:
-                    hit = True
-                    break
-            if hit:
-                break
-        if not hit:
-            cell.setdefault(key, []).append(len(out))
-            out.append(p)
-    return out
+def _dedup(points: np.ndarray, tol: float) -> np.ndarray:
+    """Indices of the rows kept by the greedy keep-first rule, ascending.
 
-
-def _neighbor_keys(key):
-    for d0 in (-1, 0, 1):
-        for d1 in (-1, 0, 1):
-            for d2 in (-1, 0, 1):
-                for d3 in (-1, 0, 1):
-                    yield (key[0] + d0, key[1] + d1, key[2] + d2, key[3] + d3)
+    Row j is dropped when ``np.linalg.norm`` puts it closer than ``tol`` to an
+    earlier kept row.  A row bitwise equal to an earlier one shares its fate,
+    so only the first copies go on.  A kd-tree finds their candidate pairs at
+    twice the tolerance, and the rule runs over the close pairs in order of
+    the later row, when the earlier row's fate is already known.
+    """
+    points = np.ascontiguousarray(points, dtype=float)
+    rows = points.view(np.dtype((np.void, points.itemsize * points.shape[1]))).ravel()
+    first = np.sort(np.unique(rows, return_index=True)[1])
+    points = points[first]
+    earlier, later = cKDTree(points).query_pairs(2 * tol, output_type="ndarray").T
+    diff = points[later] - points[earlier]
+    dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    # the norm of one vector may differ in the last bits: recompute it near tol
+    near = np.flatnonzero(np.abs(dist - tol) <= 1e-12 * tol)
+    close = dist < tol
+    close[near] = [np.linalg.norm(diff[k]) < tol for k in near]
+    earlier, later = earlier[close], later[close]
+    by_later = np.argsort(later)
+    keep = np.ones(len(points), dtype=bool)
+    for i, j in zip(earlier[by_later].tolist(), later[by_later].tolist()):
+        if keep[i]:
+            keep[j] = False
+    return first[keep]
 
 
 def orbit(G: PointGroup, v) -> Orbit:
     v = np.asarray(v, dtype=float)
     v = v / np.linalg.norm(v)
-    pts = _dedup([apply(g, v) for g in G.elements])
+    pts = apply_columns(*G.float_columns, v)
+    pts = pts[_dedup(pts, 1e-7)]
     return Orbit(tuple(v), tuple(tuple(p) for p in pts))
 
 
@@ -264,9 +265,9 @@ def polar_cell(orb: Orbit, at) -> Mesh:
     bvec = np.array([b for n, b in uniq.values()])
     try:
         hs = HalfspaceIntersection(np.hstack([A, -bvec[:, None]]), np.zeros(3))
-    except Exception as exc:
+    except (QhullError, ValueError) as exc:
         raise DegenerateOrbitError(f"unbounded or degenerate cell: {exc}") from exc
-    verts = _dedup3(hs.intersections, 1e-9)
+    verts = hs.intersections[_dedup(hs.intersections, 1e-9)]
     faces = []
     for i in range(len(A)):
         tight = [k for k, v in enumerate(verts) if abs(np.dot(A[i], v) - bvec[i]) < 1e-6]
@@ -285,14 +286,6 @@ def lift_to_hyperplane(at, vertices) -> np.ndarray:
     at = at / np.linalg.norm(at)
     B = _tangent_basis(at)
     return np.array([at + B.T @ np.asarray(z, dtype=float) for z in vertices])
-
-
-def _dedup3(points, tol):
-    out = []
-    for p in points:
-        if not any(np.linalg.norm(p - q) < tol for q in out):
-            out.append(p)
-    return out
 
 
 def _order_face(verts, idx, normal):
@@ -323,41 +316,24 @@ def face_planarity(mesh: Mesh, face) -> float:
 
 def color_orbits(G: PointGroup, points) -> list:
     """Partition of a G-closed point set into G-orbits (lists of indices)."""
-    pts = [np.asarray(p, dtype=float) for p in points]
-    parent = list(range(len(pts)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-
-    index = {}
-    for i, p in enumerate(pts):
-        index[tuple(np.round(p * 1e6).astype(np.int64))] = i
-
-    def locate(p):
-        key = tuple(np.round(p * 1e6).astype(np.int64))
-        j = index.get(key)
-        if j is not None and np.linalg.norm(pts[j] - p) < 1e-6:
-            return j
-        for j, q in enumerate(pts):
-            if np.linalg.norm(q - p) < 1e-6:
-                return j
-        raise ValueError("point set is not closed under the group")
-
+    pts = np.asarray(points, dtype=float).reshape(-1, 4)
     gens = G.generators or tuple(G.elements)
-    for i, p in enumerate(pts):
-        for g in gens:
-            union(i, locate(apply(g, p)))
+    images = np.concatenate([
+        apply_columns(g.star, quat_float4(g.l), quat_float4(g.r), pts.T) for g in gens])
+    dist, where = cKDTree(pts).query(images)
+    if np.any(dist >= 1e-6):
+        raise ValueError("point set is not closed under the group")
+    # label each point by the least index it reaches; that is constant on an orbit
+    perms = where.reshape(len(gens), len(pts))
+    labels = np.arange(len(pts))
+    while True:
+        reached = np.minimum(labels, labels[perms].min(axis=0))
+        if np.array_equal(reached, labels):
+            break
+        labels = reached
     classes = {}
-    for i in range(len(pts)):
-        classes.setdefault(find(i), []).append(i)
+    for i, c in enumerate(labels.tolist()):
+        classes.setdefault(c, []).append(i)
     return sorted(classes.values(), key=len, reverse=True)
 
 

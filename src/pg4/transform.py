@@ -114,6 +114,19 @@ def apply(g: Transform4, x) -> np.ndarray:
     return np.array(_mul4(_mul4(lbar, q), quat_float4(g.r)))
 
 
+def apply_columns(star, l, r, x) -> np.ndarray:
+    """``apply`` over numpy columns, with the images as the rows of the result.
+
+    ``star`` is a bool or a bool array; ``l``, ``r`` and ``x`` are 4-sequences
+    of floats or of equal-length arrays, and all of them broadcast.  The
+    arithmetic is ``apply``'s, elementwise, so each image is bit-identical.
+    """
+    w, x1, x2, x3 = x
+    q = (w, np.where(star, -x1, x1), np.where(star, -x2, x2), np.where(star, -x3, x3))
+    lbar = (l[0], -l[1], -l[2], -l[3])
+    return np.stack(_mul4(_mul4(lbar, q), r), axis=-1)
+
+
 def to_matrix(g: Transform4) -> np.ndarray:
     cols = [apply(g, e) for e in np.eye(4)]
     return np.column_stack(cols)

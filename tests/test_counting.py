@@ -95,3 +95,22 @@ def test_brute_force_examples():
     assert c4.per_family.get("tor:1", 0) >= 2  # includes the Vierergruppe chain rep
     with pytest.raises(ValueError):
         brute_force_census(33)
+
+
+def test_quotients_stay_exact_past_2_53(monkeypatch):
+    # (2**56 + 2) / 4 is 2**54 as a float, yet N is not a multiple of 4
+    from pg4 import counting
+
+    def no_scan(x):
+        raise AssertionError(f"divisor scan of {x}")
+
+    monkeypatch.setattr(counting, "_divisors", no_scan)
+    N = 2**56 + 2
+    assert counting._part(N, 2) == 2**55 + 1
+    for k in (4, 8):
+        x = counting._part(N, k)
+        assert counting._count_pairs(x, lambda m, n: True) == 0
+        assert counting._sigma0(x) == 0
+        assert _unordered_factorizations(x) == 0
+        assert _circle_points(x) == 0
+        assert _square_lattices(x) == 0

@@ -4,6 +4,8 @@ from math import gcd, lcm
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pg4.catalog import build, parse_spec, polyhedral_spec, tubical_spec
 from pg4.group import order
@@ -24,6 +26,7 @@ from pg4.orbits import (
     polar_cell,
     screw_angles,
 )
+from pg4.transform import apply, apply_columns
 
 
 def test_orbit_24_cell():
@@ -187,3 +190,137 @@ def test_parse_off_rejects_other_formats():
     for data in (b"", b"v 1 0 0\nf 1 2 3\n"):
         with pytest.raises(ValueError, match="OFF header"):
             parse_off(data)
+
+
+# sha256 of the OFF bytes of the scripts/export_cells.py cases
+EXPORT_CELL_OFF_SHA256 = {
+    ("+-[IxC]", 1, "5-fold"): "300c6b2e8bf5ce96930383ecb5c5e9d6b6100a033bbd8ebcdff11f582fab7b39",
+    ("+-[IxC]", 2, "5-fold"): "b89aa0b549cbedf71d4db5ae9856240d091ee7ed7f319788e243b431d992a9a4",
+    ("+-[IxC]", 3, "5-fold"): "7cafebd250feb374034e9da468e08a7b4f0c900be0cdbd6bd562585dfb5232fa",
+    ("+-[OxC]", 1, "4-fold"): "0a8fab0137172bddf751039bd46ce127a9b67286146ae95546affb3eb6219e90",
+    ("+-[OxC]", 2, "4-fold"): "24d97b7615a750d23cbdb51f216ec9cee407c1dc6b5e7066658ff1518f15be92",
+    ("+-[TxC]", 1, "3-fold"): "f8fe602ca4c0200592503e2fa1c01f75ad43ea63e373c7e3ed2716b67d07fe1f",
+    ("+-1/2[OxC2]", 3, "4-fold"): "d745bc07685f5e9575ab35a4c2eb5ac9796edcbedf244c757de480dd46685388",
+    ("+-1/3[TxC3]", 2, "3-fold-I"): "6702280f85085e6d4a1219e3096f5a0c8c29524546218ad546b79accadf075a5",
+}
+# sha256 of the stdout of: pg4 orbit "tub:+-[TxC]:n=1" --point 1,0,0,0
+ORBIT_STDOUT_SHA256 = "8d28445904f307a967cd5e2942e6f619f8d2b590584316bd26c55cccc50d0779"
+# sha256 of repr(color_orbits(cell group, vertex orbit)) for the test_c11 pairs
+COLORING_SHA256 = {
+    ("tub:+-[IxC]:n=1", "poly:+-[IxI]"): "3803c9e244c8bb9ea39c9350fe39ed6af53addc2f876be11080005b907cead35",
+    ("tub:+-[OxC]:n=1", "poly:+-[OxO]"): "b887e108f4c73a4b6195e69c4eaa5b95ae7c3712d52bb668e588b6e91c493f2f",
+}
+
+
+def test_float_layer_pinned():
+    import hashlib
+    import subprocess
+    import sys
+    for (fam, n, kind), want in EXPORT_CELL_OFF_SHA256.items():
+        spec = tubical_spec(fam, n)
+        v = GreatCircle.make(center_of(spec, kind), [1.0, 0.0, 0.0]).sample(0.05)
+        orb = orbit(build(spec), v)
+        pts = orb.array()
+        at = pts[int(np.argmin(((pts - v) ** 2).sum(axis=1)))]
+        off = export_mesh(polar_cell(orb, at), "OFF")
+        assert hashlib.sha256(off).hexdigest() == want, (fam, n, kind)
+    out = subprocess.run([sys.executable, "-m", "pg4.cli", "orbit", "tub:+-[TxC]:n=1",
+                          "--point", "1,0,0,0"], capture_output=True, check=True).stdout
+    assert hashlib.sha256(out).hexdigest() == ORBIT_STDOUT_SHA256
+    for (cell_spec, big), want in COLORING_SHA256.items():
+        G = build(parse_spec(cell_spec))
+        orb = orbit(G, [1, 0, 0, 0])
+        at = next(p for p in orb.points if abs(p[0] - 1) < 1e-9)
+        v4 = lift_to_hyperplane(at, polar_cell(orb, at).vertices)
+        verts = orbit(build(parse_spec(big)), v4[0] / np.linalg.norm(v4[0]))
+        classes = color_orbits(G, verts.points)
+        assert len({len(c) for c in classes}) == 1
+        assert hashlib.sha256(repr(classes).encode()).hexdigest() == want, cell_spec
+
+
+def _greedy_keep_first(points, tol):
+    """The O(n^2) dedup of the per-element path: keep a point unless
+    np.linalg.norm puts it closer than tol to a kept one."""
+    kept = []
+    for p in points:
+        if kept:
+            # |p - q|_inf < tol is necessary for |p - q| < tol
+            cand = np.flatnonzero(np.all(np.abs(np.array(kept) - p) < tol, axis=1))
+            if any(np.linalg.norm(p - kept[k]) < tol for k in cand):
+                continue
+        kept.append(p)
+    return kept
+
+
+ORACLE_GROUPS = {text: build(parse_spec(text))
+                 for text in ("poly:+-[TxT].2", "tub:+-[OxC]:n=2", "tor:|/pg:m=2,n=4")}
+SPECIAL_POINTS = [(1, 0, 0, 0), (1, 1, 0, 0), (1, 1, 1, 1), (0, 1, 2, 0), (1, 1, 1, 0)]
+coords = st.floats(min_value=-1, max_value=1, allow_nan=False)
+start_points = st.one_of(
+    st.sampled_from(SPECIAL_POINTS),
+    st.tuples(coords, coords, coords, coords).filter(lambda v: np.linalg.norm(v) > 0.1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(ORACLE_GROUPS)), start_points)
+def test_orbit_matches_per_element_path(text, v):
+    G = ORACLE_GROUPS[text]
+    u = np.asarray(v, dtype=float)
+    u = u / np.linalg.norm(u)
+    images = [apply(g, u) for g in G.elements]
+    assert np.array_equal(apply_columns(*G.float_columns, u), np.array(images))
+    want = tuple(tuple(p) for p in _greedy_keep_first(images, 1e-7))
+    assert orbit(G, v).points == want
+
+
+def test_float_columns_built_once_in_element_order():
+    from pg4.algebra import quat_float4
+    G = ORACLE_GROUPS["poly:+-[TxT].2"]
+    star, L, R = G.float_columns
+    assert G.float_columns[1] is L and not L.flags.writeable
+    assert L.shape == R.shape == (4, len(G)) and star.sum() == len(G) // 2
+    for k, g in enumerate(G.elements):
+        assert star[k] == g.star
+        assert tuple(L[:, k]) == quat_float4(g.l) and tuple(R[:, k]) == quat_float4(g.r)
+
+
+@pytest.mark.parametrize("tol, dim", [(1e-7, 4), (1e-9, 3)])
+def test_dedup_keeps_first_with_strict_tolerance(tol, dim):
+    from pg4.orbits import _dedup
+    e = np.eye(dim)
+    a, b = 0.3 * np.ones(dim), -0.2 * np.ones(dim)
+    # a later near-copy goes, whichever copy comes first; exact copies go too
+    pts = np.array([a, a + 0.5 * tol * e[0], b, a + 0.4 * tol * e[1], b, a])
+    assert _dedup(pts, tol).tolist() == [0, 2]
+    # at exactly tol the later point stays
+    assert _dedup(np.array([0 * e[0], tol * e[0]]), tol).tolist() == [0, 1]
+    # a chain: only kept points drop their neighbours
+    chain = np.array([0.6 * k * tol * e[0] for k in range(5)])
+    assert _dedup(chain, tol).tolist() == [0, 2, 4]
+    assert _dedup(chain[::-1].copy(), tol).tolist() == [0, 2, 4]
+    # random clusters against the O(n^2) rule
+    rng = np.random.default_rng(7)
+    centers = rng.normal(size=(6, dim))
+    pts = centers[rng.integers(0, 6, 200)] + rng.uniform(-tol, tol, (200, dim))
+    want = _greedy_keep_first(list(pts), tol)
+    assert np.array_equal(pts[_dedup(pts, tol)], np.array(want))
+
+
+def test_color_orbits_rejects_open_point_set():
+    G = build(tubical_spec("+-[TxC]", 1))
+    pts = orbit(G, GENERIC_START).points
+    assert len(color_orbits(G, pts)) == 1
+    with pytest.raises(ValueError, match="not closed"):
+        color_orbits(G, pts[1:])
+
+
+def test_polar_cell_lets_real_errors_through(monkeypatch):
+    import pg4.orbits
+
+    def broken(*args, **kw):
+        raise TypeError("broken halfspace intersection")
+
+    orb = orbit(build(tubical_spec("+-[TxC]", 1)), [1, 0, 0, 0])
+    monkeypatch.setattr(pg4.orbits, "HalfspaceIntersection", broken)
+    with pytest.raises(TypeError, match="broken"):
+        polar_cell(orb, orb.points[0])
