@@ -28,7 +28,7 @@ from .catalog import (
 )
 from .classify import Category, ClassificationError, category, classify
 from .constants import NAMED, e_n
-from .counting import OrderCensus, brute_force_census, count_order, count_self_mirror
+from .counting import OrderCensus, OrderError, brute_force_census, count_order, count_self_mirror
 from .group import (
     Fingerprint,
     GoursatData,

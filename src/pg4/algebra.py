@@ -29,8 +29,6 @@ from typing import Union
 
 Rational = Fraction
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
 _FH = Fraction(1, 2)
 
 

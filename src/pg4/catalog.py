@@ -116,11 +116,6 @@ def polyhedral_spec(name: str) -> GroupSpec:
     return GroupSpec("polyhedral", name)
 
 
-def axial_spec(kind: str, g3: str, subgroup: str | None = None) -> GroupSpec:
-    fam = f"{kind}:{subgroup}<{g3}" if kind == "hyb" else f"{kind}:{g3}"
-    return GroupSpec("axial", fam)
-
-
 # ---------------------------------------------------------------------------
 # tubical families
 

@@ -16,7 +16,7 @@ import numpy as np
 from . import catalog
 from .catalog import ParseError, SpecError, build, cs_name_type1, list_catalog, parse_spec, spec_order
 from .classify import ClassificationError, classify
-from .counting import count_order, count_self_mirror
+from .counting import OrderError, count_order, count_self_mirror
 from .group import ClosureCapExceeded, fingerprint, is_chiral, order
 from .orbits import center_of, export_mesh, orbit, polar_cell
 from .transform import transform_from_json
@@ -170,6 +170,9 @@ def main(argv=None) -> int:
     except ParseError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    except OrderError as exc:
+        sys.stderr.write(f"error: {args.cmd}: {exc}\n")
+        return 2
     except (SpecError, ClassificationError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -5,12 +5,18 @@ group per divisor pair N = m*n and admissible shift s, with ceil(n/2) shifts
 for odd m and ceil((n+1)/2) for even m.  Tubical, polyhedral and axial
 groups contribute finitely many per order.  Enantiomorphic pairs count as
 two groups throughout.
+
+Every count is read from one factorization of N per call: the divisors of N,
+N/2, N/4 and N/8 come from its exponents, and the lattice points on the circle
+a^2 + b^2 = x from the exponents of the primes 1 and 3 mod 4.  The
+factorization is exact for N below psi_12 ~ 3.2e23, and larger orders are
+refused.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import isqrt
+from math import gcd, isqrt, prod
 
 from .catalog import (
     AXIAL_FAMILIES,
@@ -23,6 +29,10 @@ from .catalog import (
     spec_order,
 )
 from .group import equals, is_chiral
+
+
+class OrderError(ValueError):
+    """An order the census cannot count: not an int, below 1, or >= psi_12."""
 
 
 @dataclass
@@ -77,20 +87,142 @@ _TOR_ACHIRAL_KEYS = frozenset(
     "tor:" + f.family[0] for f in TOROIDAL_FAMILIES.values() if not f.chiral)
 
 
-def _divisors(x: int):
-    return [d for d in range(1, x + 1) if x % d == 0]
+def _finite_table() -> dict:
+    """order -> (polyhedral, achiral polyhedral, axial, achiral axial) counts."""
+    table = {}
+    rows = ([(p.order, 0, p.chiral) for p in POLYHEDRAL_FAMILIES.values()]
+            + [(_axial_order(f), 2, _axial_chiral(f)) for f in AXIAL_FAMILIES])
+    for N, i, chiral in rows:
+        counts = table.setdefault(N, [0, 0, 0, 0])
+        counts[i] += 1
+        counts[i + 1] += not chiral
+    return {N: tuple(counts) for N, counts in table.items()}
 
 
-def _part(N: int, k: int) -> int:
-    """N // k when k divides N, else 0; the counting helpers give 0 at 0."""
-    return N // k if N % k == 0 else 0
+_FINITE_BY_ORDER = _finite_table()
+
+# ---------------------------------------------------------------------------
+# factorization
+
+# psi_12 (Sorenson & Webster): the least strong pseudoprime to all of the
+# first 12 prime bases, so Miller-Rabin with those bases is exact below it
+_PSI12 = 318665857834031151167461
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_TRIAL_BOUND = 1000
 
 
-def _sigma0(x: int) -> int:
-    if x < 1:
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for odd n > 37, exact for n < _PSI12."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho(n: int) -> int:
+    """A proper factor of the odd composite n (Pollard rho, Brent's cycle search)."""
+    for c in range(1, n):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: step through it one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
+def _factor(x: int) -> dict:
+    """Prime factorization {p: e} of x >= 1.
+
+    Trial division by 2, 3 and 6k +- 1 up to _TRIAL_BOUND; a cofactor above
+    _TRIAL_BOUND**2 is split by Pollard rho and its parts tested by
+    Miller-Rabin, which is exact while each part is below _PSI12.
+    """
+    f = {}
+    for p in (2, 3):
+        while x % p == 0:
+            f[p] = f.get(p, 0) + 1
+            x //= p
+    p = 5
+    while p <= _TRIAL_BOUND and p * p <= x:
+        for q in (p, p + 2):
+            while x % q == 0:
+                f[q] = f.get(q, 0) + 1
+                x //= q
+        p += 6
+    if p * p > x:  # no factor below p is left, so x is 1 or prime
+        if x > 1:
+            f[x] = f.get(x, 0) + 1
+        return f
+    stack = [x]
+    while stack:
+        y = stack.pop()
+        if _is_prime(y):
+            f[y] = f.get(y, 0) + 1
+        else:
+            d = _rho(y)
+            stack += (d, y // d)
+    return f
+
+
+def _quotients(N: int) -> list:
+    """Factorizations of N, N/2, N/4 and N/8 from one factorization of N,
+    by lowering the exponent of 2; None where the quotient is not an integer."""
+    f = _factor(N)
+    e2 = f.pop(2, 0)
+    out = []
+    for j in range(4):
+        if j > e2:
+            out.append(None)
+        else:
+            out.append({2: e2 - j, **f} if e2 > j else f)
+    return out
+
+
+def _divisors(f) -> list:
+    """Ascending divisors of the number with factorization f; [] for None."""
+    if f is None:
+        return []
+    ds = [1]
+    for p, e in f.items():
+        ds = [d * p**i for d in ds for i in range(e + 1)]
+    ds.sort()
+    return ds
+
+
+def _sigma0(f) -> int:
+    if f is None:
         return 0
-    return len(_divisors(x))
+    return prod(e + 1 for e in f.values())
 
+
+# ---------------------------------------------------------------------------
+# per-family counts
 
 def _ceil_half(x: int) -> int:
     return (x + 1) // 2
@@ -101,73 +233,69 @@ def _s_count(m: int, n: int) -> int:
     return _ceil_half(n) if m % 2 else _ceil_half(n + 1)
 
 
-def _count_type1(N: int) -> int:
-    return sum(_s_count(m, N // m) for m in _divisors(N))
+# An ascending divisor list of x read forwards and backwards gives the factor
+# pairs (m, x // m) of x.
+
+def _count_type1(divs: list) -> int:
+    return sum(map(_s_count, divs, reversed(divs)))
 
 
-def _count_flip(N: int) -> int:
-    if N % 2:
-        return 0
-    half = N // 2
-    total = sum(_s_count(m, half // m) for m in _divisors(half))
-    if N == 2:
-        total -= 1  # (m, n) = (1, 1) excluded
-    if N == 4:
-        total -= 1  # (m, n) = (2, 1) excluded
+def _count_flip(N: int, half_divs: list) -> int:
+    total = _count_type1(half_divs)
+    if N in (2, 4):
+        total -= 1  # (m, n) = (1, 1) at N = 2, (2, 1) at N = 4 excluded
     return total
 
 
-def _count_pairs(total: int, cond) -> int:
-    if total < 1:
-        return 0
-    return sum(1 for m in _divisors(total) if cond(m, total // m))
+def _count_pairs(divs: list, cond) -> int:
+    return sum(map(cond, divs, reversed(divs)))
+
+
+def _check_order(fn: str, N) -> None:
+    if isinstance(N, bool) or not isinstance(N, int) or not 1 <= N < _PSI12:
+        raise OrderError(f"{fn}({N!r}): N must be an int with 1 <= N < {_PSI12}")
 
 
 def count_order(N: int) -> OrderCensus:
-    """Exact per-family census of the 4-dimensional point groups of order N."""
+    """Exact per-family census of the 4-dimensional point groups of order N.
+
+    Costs one factorization of N; raises OrderError unless 1 <= N < _PSI12.
+    """
+    _check_order("count_order", N)
+    f1, f2, f4, f8 = _quotients(N)
+    d1, d2, d4, d8 = map(_divisors, (f1, f2, f4, f8))
     c = OrderCensus(N)
     f = c.per_family
-    f["tor:1"] = _count_type1(N)
-    f["tor:."] = _count_flip(N)
+    f["tor:1"] = _count_type1(d1)
+    f["tor:."] = _count_flip(N, d2)
     # swap groups; the / counts mirror the \ counts
-    pm = _count_pairs(_part(N, 4), lambda m, n: m >= 2 and n >= 2)
-    pg = _count_pairs(_part(N, 4), lambda m, n: m >= 2 and n >= 1)
-    cm = _count_pairs(_part(N, 2), lambda m, n: m >= 3 and n >= 2 and (m - n) % 2 == 0)
+    pm = _count_pairs(d4, lambda m, n: m >= 2 and n >= 2)
+    pg = _count_pairs(d4, lambda m, n: m >= 2 and n >= 1)
+    cm = _count_pairs(d2, lambda m, n: m >= 3 and n >= 2 and (m - n) % 2 == 0)
     f["tor:\\"] = pm + pg + cm
     f["tor:/"] = pm + pg + cm
     f["tor:X"] = (
-        4 * _count_pairs(_part(N, 8), lambda m, n: m >= 2 and n >= 2)
-        + _count_pairs(_part(N, 4), lambda m, n: m >= 3 and n >= 3 and (m - n) % 2 == 0)
+        4 * _count_pairs(d8, lambda m, n: m >= 2 and n >= 2)
+        + _count_pairs(d4, lambda m, n: m >= 3 and n >= 3 and (m - n) % 2 == 0)
     )
-    f["tor:|"] = 2 * _sigma0(_part(N, 2)) + _sigma0(_part(N, 4))
-    p2mm = _count_pairs(_part(N, 4), lambda m, n: m >= n >= 1 and (m, n) != (1, 1))
-    p2mg = _count_pairs(_part(N, 4), lambda m, n: (m, n) != (1, 1))
+    f["tor:|"] = 2 * len(d2) + len(d4)
+    p2mm = _count_pairs(d4, lambda m, n: m >= n >= 1 and (m, n) != (1, 1))
+    p2mg = _count_pairs(d4, lambda m, n: (m, n) != (1, 1))
     p2gg = p2mm
-    c2mm = _count_pairs(_part(N, 8), lambda m, n: m >= n >= 1 and (m, n) != (1, 1))
+    c2mm = _count_pairs(d8, lambda m, n: m >= n >= 1 and (m, n) != (1, 1))
     f["tor:+"] = p2mm + p2mg + p2gg + c2mm
-    f["tor:L"] = _count_swapturn(N)
+    f["tor:L"] = _count_swapturn(N, f4)
     f["tor:*"] = _count_full_torus(N)
     f["tubical"] = _count_tubical(N)
-    f["polyhedral"] = sum(1 for p in POLYHEDRAL_FAMILIES.values() if p.order == N)
-    f["axial"] = sum(1 for fam in AXIAL_FAMILIES if _axial_order(fam) == N)
-    c.achiral_poly = sum(1 for p in POLYHEDRAL_FAMILIES.values()
-                         if p.order == N and not p.chiral)
-    c.achiral_axial = sum(1 for fam in AXIAL_FAMILIES
-                          if _axial_order(fam) == N and not _axial_chiral(fam))
+    poly, c.achiral_poly, axial, c.achiral_axial = _FINITE_BY_ORDER.get(N, (0, 0, 0, 0))
+    f["polyhedral"] = poly
+    f["axial"] = axial
     return c
 
 
-def _count_swapturn(N: int) -> int:
-    if N % 4:
-        return 0
-    c2 = N // 4
-    cnt = 0
-    for b in range(isqrt(c2 // 2) + 1):
-        a2 = c2 - b * b
-        a = isqrt(a2)
-        if a * a == a2 and a >= b and a >= 2 and (a, b) != (2, 0):
-            cnt += 1
-    return cnt
+def _count_swapturn(N: int, f4) -> int:
+    """Lattices a^2 + b^2 = N/4 with a >= b >= 0 and a >= 2, but not (2, 0)."""
+    return _circle_points(f4) - (N in (4, 8, 16))
 
 
 def _count_full_torus(N: int) -> int:
@@ -194,47 +322,51 @@ def _count_tubical(N: int) -> int:
 # ---------------------------------------------------------------------------
 # self-mirror counting (chiral toroidal groups equal to their own mirror)
 
-def _unordered_factorizations(x: int) -> int:
-    return _ceil_half(_sigma0(x))
+def _unordered_factorizations(f) -> int:
+    return _ceil_half(_sigma0(f))
 
 
-def _circle_points(x: int) -> int:
-    """#{(a, b): a >= b >= 0, a^2 + b^2 = x}."""
-    if x < 1:
-        return 0
-    cnt = 0
-    for b in range(isqrt(x // 2) + 1):
-        a2 = x - b * b
-        a = isqrt(a2)
-        if a * a == a2 and a >= b:
-            cnt += 1
-    return cnt
-
-
-def _square_lattices(x: int) -> int:
+def _square_lattices(f) -> int:
     """Upright (x = k^2) plus slanted (x = 2 k^2) square lattices."""
-    if x < 1:
+    if f is None:
         return 0
-    cnt = 0
-    k = isqrt(x)
-    if k * k == x:
-        cnt += 1
-    if x % 2 == 0:
-        k = isqrt(x // 2)
-        if 2 * k * k == x:
-            cnt += 1
-    return cnt
+    if any(e % 2 for p, e in f.items() if p != 2):
+        return 0
+    return 1  # x is a square if the exponent of 2 is even, else twice one
+
+
+def _circle_points(f) -> int:
+    """#{(a, b): a >= b >= 0, a^2 + b^2 = x}.
+
+    Half of (B + [x = k^2] + [x = 2 k^2]), where B = prod(e + 1) over the
+    primes p = 1 mod 4 counts the representations with a > 0, b >= 0, and
+    is 0 when a prime p = 3 mod 4 divides x to an odd power.
+    """
+    if f is None:
+        return 0
+    B = 1
+    for p, e in f.items():
+        if p % 4 == 1:
+            B *= e + 1
+        elif p % 4 == 3 and e % 2:
+            return 0
+    return (B + _square_lattices(f)) // 2
 
 
 def count_self_mirror(N: int) -> int:
-    """Chiral toroidal groups of order N that equal their own mirror image."""
+    """Chiral toroidal groups of order N that equal their own mirror image.
+
+    Costs one factorization of N; raises OrderError unless 1 <= N < _PSI12.
+    """
+    _check_order("count_self_mirror", N)
+    f1, f2, f4, _ = _quotients(N)
     # type 1: lattices with a reflection (rectangular/rhombic) or swapturn symmetry
-    t1 = (_unordered_factorizations(N) + _unordered_factorizations(_part(N, 2))
-          + _circle_points(N) - _square_lattices(N))
+    t1 = (_unordered_factorizations(f1) + _unordered_factorizations(f2)
+          + _circle_points(f1) - _square_lattices(f1))
     # torus flip groups: same with lattice size N/2
     if N % 2 == 0:
-        t2 = (_unordered_factorizations(_part(N, 2)) + _unordered_factorizations(_part(N, 4))
-              + _circle_points(_part(N, 2)) - _square_lattices(_part(N, 2)))
+        t2 = (_unordered_factorizations(f2) + _unordered_factorizations(f4)
+              + _circle_points(f2) - _square_lattices(f2))
         if N == 2:
             t2 -= 1  # the excluded flip group on the trivial lattice
         if N == 4:

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 
 def run(*args, **kw):
     return subprocess.run([sys.executable, "-m", "pg4.cli", *args],
@@ -15,6 +17,14 @@ def test_count():
     assert d["schema"] == "pg4/1"
     assert d["total"] == 192 and d["self_mirror"] == 16
     assert d["families"]["tor:1"] == 113
+
+
+@pytest.mark.parametrize("N", ["-4", "0", "318665857834031151167461"])
+def test_count_refuses_bad_orders(N):
+    r = run("count", "--", N)
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr.startswith("error: count: count_order(") and r.stderr.count("\n") == 1
+    assert "Traceback" not in r.stderr
 
 
 def test_build_and_fingerprint():

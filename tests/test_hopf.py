@@ -8,8 +8,10 @@ from pg4.constants import two_I
 from pg4.hopf import (
     CliffordTorus,
     GreatCircle,
+    circle_basis,
     circle_distance,
     circle_residual,
+    circle_sample,
     hopf_map,
     tangential_slice_map,
     torus_distance,
@@ -32,6 +34,16 @@ def test_fixpoint_characterization():
         for th in rng.uniform(0, 2 * pi, 6):
             x = K.sample(th)
             assert abs(np.linalg.norm(x) - 1) < 1e-12
+            assert K.contains(x, 1e-9)
+
+
+def test_circle_sample_walks_the_circle_basis():
+    for _ in range(20):
+        K = GreatCircle.make(rand_s2(), rand_s2())
+        x0, x1 = circle_basis(K)
+        for th in rng.uniform(0, 2 * pi, 4):
+            x = circle_sample(K, th)
+            assert np.allclose(x, np.cos(th) * x0 + np.sin(th) * x1, atol=1e-12)
             assert K.contains(x, 1e-9)
 
 
