@@ -232,15 +232,15 @@ def _assert_matches_reference(N, divisors):
 
 
 def test_census_matches_reference_small():
-    sieve = _divisor_sieve(2000)
-    for N in range(1, 2001):
+    sieve = _divisor_sieve(5000)
+    for N in range(1, 5001):
         _assert_matches_reference(N, sieve.__getitem__)
 
 
 def test_census_matches_reference_large():
     rng = random.Random(20260809)
     for i in range(20):
-        N = rng.randrange(2001, 10**6 + 1)
+        N = rng.randrange(5001, 10**6 + 1)
         if i % 2:  # every other one a multiple of 16, for the N/4 and N/8 families
             N -= N % 16
         _assert_matches_reference(N, _divisors_by_scan)
