@@ -51,7 +51,9 @@ from .constants import (
     two_O,
     two_T,
 )
+from . import group
 from .group import (
+    ClosureCapExceeded,
     PointGroup,
     Transform4,
     extend_achiral,
@@ -736,11 +738,15 @@ def build_unchecked(spec: GroupSpec) -> PointGroup:
 
 
 def build(spec: GroupSpec) -> PointGroup:
-    """Construct the catalog group; rejects out-of-range parameters."""
+    """Construct the catalog group; rejects out-of-range parameters, and an
+    order above ``group.DEFAULT_CAP`` before any closure."""
     if not constraints_ok(spec):
         raise SpecError(f"parameters out of range for {spec.spec_string()}")
-    G = build_unchecked(spec)
     expected = spec_order(spec)
+    if expected > group.DEFAULT_CAP:
+        raise ClosureCapExceeded(f"{spec.spec_string()} has order {expected}, "
+                                 f"above the cap {group.DEFAULT_CAP}")
+    G = build_unchecked(spec)
     if len(G.elements) != expected:
         raise SpecError(
             f"{spec.spec_string()}: built order {len(G.elements)} != expected {expected}")

@@ -18,7 +18,7 @@ from .catalog import ParseError, SpecError, build, cs_name_type1, list_catalog, 
 from .classify import ClassificationError, classify
 from .counting import OrderError, count_order, count_self_mirror
 from .group import ClosureCapExceeded, fingerprint, is_chiral, order
-from .orbits import center_of, export_mesh, orbit, polar_cell
+from .orbits import center_of, export_mesh, orbit, polar_cell, unit_vector
 from .transform import transform_from_json
 
 SCHEMA = "pg4/1"
@@ -71,10 +71,16 @@ def _cmd_count(args):
 
 def _resolve_start(args, spec):
     if args.point:
-        v = np.array([float(x) for x in args.point.split(",")])
-        if v.shape != (4,):
-            raise SpecError("--point needs four comma-separated coordinates")
-        return v / np.linalg.norm(v)
+        try:
+            v = [float(x) for x in args.point.split(",")]
+        except ValueError:
+            v = []
+        if len(v) != 4:
+            raise SpecError("--point: needs four comma-separated coordinates")
+        try:
+            return unit_vector(v)
+        except ValueError:
+            raise SpecError(f"--point: {args.point} has no finite nonzero norm") from None
     if args.center:
         from .hopf import GreatCircle
         p = center_of(spec, args.center)
@@ -168,13 +174,10 @@ def main(argv=None) -> int:
     try:
         args.func(args)
     except ParseError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except OrderError as exc:
         sys.stderr.write(f"error: {args.cmd}: {exc}\n")
-        return 2
-    except (SpecError, ClassificationError, ValueError, OSError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        return 1
+    except (OrderError, SpecError, ClassificationError, ValueError, OSError) as exc:
+        sys.stderr.write(f"error: {args.cmd}: {exc}\n")
         return 2
     except ClosureCapExceeded as exc:
         sys.stderr.write(f"error: {args.cmd}: group closure: {exc}\n")

@@ -68,9 +68,18 @@ def _dedup(points: np.ndarray, tol: float) -> np.ndarray:
     return first[keep]
 
 
-def orbit(G: PointGroup, v) -> Orbit:
+def unit_vector(v) -> np.ndarray:
+    """v / |v|; a ValueError when |v| is zero, not finite, or out of float range."""
     v = np.asarray(v, dtype=float)
-    v = v / np.linalg.norm(v)
+    with np.errstate(all="ignore"):
+        norm = np.linalg.norm(v)
+    if not 0 < norm < np.inf:
+        raise ValueError(f"start point {v.tolist()} has no finite nonzero norm")
+    return v / norm
+
+
+def orbit(G: PointGroup, v) -> Orbit:
+    v = unit_vector(v)
     pts = apply_columns(*G.float_columns, v)
     pts = pts[_dedup(pts, 1e-7)]
     return Orbit(tuple(v), tuple(tuple(p) for p in pts))

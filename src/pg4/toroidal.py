@@ -21,11 +21,11 @@ from math import isqrt, lcm
 
 from .algebra import CycloQuat, RepresentationError, _cyc_make
 from .catalog import (
+    TOROIDAL_FAMILIES,
     GroupSpec,
     SpecError,
     build_unchecked,
     constraints_ok,
-    spec_order,
     toroidal_spec,
 )
 from .constants import MINUS_K, ONE, QI, QJ, QK
@@ -352,41 +352,148 @@ def _square_lattice_params(pts, den):
 # ---------------------------------------------------------------------------
 # duplications
 
-def _dup_target(spec: GroupSpec):
-    """Canonical partner of a constraint-excluded toroidal spec, if known."""
+# The overview table keeps one spec per conjugacy class; the parameter ranges
+# of ``constraints_ok`` exclude every other spec of the class.  Each excluded
+# (family, parameter class) has one canonical partner whose parameters are
+# linear in the source's, and ``_DUPLICATION_RULES`` lists them:
+#
+#   family -> rows (where, target family, target parameters), first match wins.
+#
+# ``where`` holds one parameter class per parameter of the family, in its
+# ``param_names`` order: an int is that value, and a name from
+# ``_PARAM_CLASSES`` is the positive ints with that residue.  The target
+# parameters are a function of the source parameters.  The source is first
+# put in order by ``_in_order``, so a ``.`` spec has its in-range s.
+
+_PARAM_CLASSES = {"odd": (2, 1), "even": (2, 0), "0 mod 4": (4, 0), "2 mod 4": (4, 2)}
+
+
+def _in_class(k: int, where) -> bool:
+    if isinstance(where, int):
+        return k == where
+    q, r = _PARAM_CLASSES[where]
+    return k > 0 and k % q == r
+
+
+def _odd_s(m: int) -> int:
+    """The odd s in range for (m, 2): -(m - 2)/2 if 4 | m, else -m/2."""
+    return 1 - 2 * ((m + 2) // 4)
+
+
+_DUPLICATION_RULES = {
+    ".": [
+        ((1, 1, 0), "1", lambda m, n, s: (1, 2, 0)),
+        ((2, 1, -1), "1", lambda m, n, s: (2, 2, 0)),
+    ],
+    "//cm": [
+        (("odd", 1), "1", lambda m, n: (m, 2, -(m - 1) // 2)),
+        ((1, "odd"), ".", lambda m, n: (1, n, (n - 1) // 2)),
+        ((2, 2), ".", lambda m, n: (2, 2, -1)),
+        (("0 mod 4", 2), "//pg", lambda m, n: (m, 4)),
+        (("2 mod 4", 2), "//pm", lambda m, n: (m, 4)),
+    ],
+    "\\/cm": [
+        ((1, "odd"), "1", lambda m, n: (1, 2 * n, (n - 1) // 2)),
+        (("odd", 1), ".", lambda m, n: (m, 1, -(m - 1) // 2)),
+        ((2, 2), ".", lambda m, n: (4, 1, -2)),
+        ((2, "0 mod 4"), "\\/pg", lambda m, n: (4, n)),
+        ((2, "2 mod 4"), "\\/pm", lambda m, n: (4, n)),
+    ],
+    "X/c2mm": [
+        ((1, "odd"), ".", lambda m, n: (1, 2 * n, (n - 1) // 2)),
+        (("odd", 1), ".", lambda m, n: (m, 2, -(m - 1) // 2)),
+        ((2, 2), ".", lambda m, n: (4, 2, -2)),
+        ((2, "0 mod 4"), "X/p2mg", lambda m, n: (4, n)),
+        ((2, "2 mod 4"), "X/p2mm", lambda m, n: (4, n)),
+        (("0 mod 4", 2), "X/p2gm", lambda m, n: (m, 4)),
+        (("2 mod 4", 2), "X/p2mm", lambda m, n: (m, 4)),
+    ],
+    "//pm": [
+        (("even", 2), "1", lambda m, n: (m, 2, -2 * (m // 4))),
+        ((2, "even"), ".", lambda m, n: (2, n // 2, -1)),
+    ],
+    "\\/pm": [
+        ((2, "2 mod 4"), "1", lambda m, n: (2, n, (n - 2) // 2)),
+        ((2, "0 mod 4"), "1", lambda m, n: (4, n // 2, -2)),
+        (("even", 2), ".", lambda m, n: (m, 1, -m // 2)),
+    ],
+    "//pg": [
+        (("even", 2), "1", lambda m, n: (m, 2, _odd_s(m))),
+    ],
+    "\\/pg": [
+        ((2, "0 mod 4"), "1", lambda m, n: (2, n, (n - 2) // 2)),
+        ((2, "2 mod 4"), "1", lambda m, n: (4, n // 2, -2)),
+    ],
+    "X/p2mm": [
+        ((2, "2 mod 4"), ".", lambda m, n: (2, n, (n - 2) // 2)),
+        ((2, "0 mod 4"), ".", lambda m, n: (4, n // 2, -2)),
+        (("even", 2), ".", lambda m, n: (m, 2, -2 * (m // 4))),
+    ],
+    "X/p2mg": [
+        ((2, "2 mod 4"), ".", lambda m, n: (4, n // 2, -2)),
+        ((2, "0 mod 4"), ".", lambda m, n: (2, n, (n - 2) // 2)),
+        (("0 mod 4", 2), "\\/pm", lambda m, n: (m, 4)),
+        (("2 mod 4", 2), "\\/cm", lambda m, n: (m, 2)),
+    ],
+    "X/p2gm": [
+        ((2, 2), ".", lambda m, n: (2, 2, -1)),
+        ((2, "0 mod 4"), "//pm", lambda m, n: (4, n)),
+        ((2, "2 mod 4"), "//cm", lambda m, n: (2, n)),
+        (("even", 2), ".", lambda m, n: (m, 2, _odd_s(m))),
+    ],
+    "X/p2gg": [
+        ((2, 2), "1", lambda m, n: (4, 2, -2)),
+        ((2, "0 mod 4"), "//cm", lambda m, n: (2, n)),
+        ((2, "2 mod 4"), "//pm", lambda m, n: (4, n)),
+        (("0 mod 4", 2), "\\/cm", lambda m, n: (m, 2)),
+        (("2 mod 4", 2), "\\/pm", lambda m, n: (m, 4)),
+    ],
+    "+/p2mm": [((1, 1), "|/pm", lambda m, n: (1, 2))],
+    "+/p2mg": [((1, 1), "|/pm", lambda m, n: (2, 1))],
+    "+/p2gg": [((1, 1), "|/pg", lambda m, n: (1, 2))],
+    "+/c2mm": [((1, 1), "|/pm", lambda m, n: (2, 2))],
+    "L": [
+        ((1, 0), "|/pg", lambda a, b: (2, 1)),
+        ((1, 1), "|/pg", lambda a, b: (2, 2)),
+        ((2, 0), "+/p2gg", lambda a, b: (2, 2)),
+    ],
+    "*/p4mmU": [
+        ((1,), "+/p2mg", lambda n: (1, 2)),
+        ((2,), "+/c2mm", lambda n: (2, 2)),
+    ],
+    "*/p4gmU": [
+        ((1,), "+/p2gg", lambda n: (2, 1)),
+        ((2,), "L", lambda n: (2, 2)),
+    ],
+    "*/p4mmS": [((1,), "+/p2mg", lambda n: (2, 2))],
+    "*/p4gmS": [((1,), "|/cm", lambda n: (2, 2))],
+}
+
+
+def _in_order(spec: GroupSpec) -> GroupSpec:
+    """The spec with its parameters in standard order: the in-range s of a
+    ``1`` or ``.`` lattice, m >= n in the swap-symmetric ``+/`` families and
+    a >= b for ``L``.  Specs that differ only there are the same group up to
+    the torus swap."""
     fam = spec.family
     p = dict(spec.params)
+    if fam in ("1", ".") and p["m"] >= 1 and p["n"] >= 1:
+        return toroidal_spec(fam, m=p["m"], n=p["n"],
+                             s=_canonical_s(p["m"], p["n"], p["s"] % p["n"]))
     if fam in ("+/p2mm", "+/p2gg", "+/c2mm") and p["m"] < p["n"]:
         return toroidal_spec(fam, m=p["n"], n=p["m"])
     if fam == "L" and p["a"] < p["b"]:
         return toroidal_spec("L", a=p["b"], b=p["a"])
-    if fam == "X/c2mm" and p["m"] == 1 and p["n"] % 2 == 1:
-        n = p["n"]
-        return toroidal_spec(".", m=1, n=2 * n, s=(n - 1) // 2)
-    # explicit small chains from the duplication list
-    chains = {
-        ("//cm", (1, 1)): ("1", dict(m=1, n=2, s=0)),
-        ("\\/cm", (1, 1)): ("1", dict(m=1, n=2, s=0)),
-        (".", (1, 1)): ("1", dict(m=1, n=2, s=0)),
-        ("//pm", (2, 2)): ("1", dict(m=2, n=2, s=0)),
-        ("\\/pm", (2, 2)): ("1", dict(m=2, n=2, s=0)),
-        (".", (2, 1)): ("1", dict(m=2, n=2, s=0)),
-        ("X/p2gg", (2, 2)): ("1", dict(m=4, n=2, s=-2)),
-        ("//pm", (4, 2)): ("1", dict(m=4, n=2, s=-2)),
-        ("\\/pm", (2, 4)): ("1", dict(m=4, n=2, s=-2)),
-        ("X/p2gm", (2, 2)): (".", dict(m=2, n=2, s=-1)),
-        ("//cm", (2, 2)): (".", dict(m=2, n=2, s=-1)),
-        ("//pm", (2, 4)): (".", dict(m=2, n=2, s=-1)),
-        ("X/p2mg", (2, 2)): (".", dict(m=4, n=1, s=-2)),
-        ("\\/cm", (2, 2)): (".", dict(m=4, n=1, s=-2)),
-        ("\\/pm", (4, 2)): (".", dict(m=4, n=1, s=-2)),
-        ("*/p4gmU", (1,)): ("+/p2gg", dict(m=2, n=1)),
-        ("X/c2mm", (2, 2)): (".", dict(m=4, n=2, s=-2)),
-    }
-    key = (fam, tuple(v for _, v in spec.params))
-    if key in chains:
-        f2, p2 = chains[key]
-        return toroidal_spec(f2, **p2)
+    return spec
+
+
+def _dup_target(spec: GroupSpec):
+    """Canonical partner of a constraint-excluded toroidal spec, or None."""
+    vals = tuple(v for _, v in spec.params)
+    for where, fam, params in _DUPLICATION_RULES.get(spec.family, ()):
+        if all(_in_class(v, w) for v, w in zip(vals, where)):
+            names = TOROIDAL_FAMILIES[fam].param_names
+            return _in_order(toroidal_spec(fam, **dict(zip(names, params(*vals)))))
     return None
 
 
@@ -394,23 +501,13 @@ def canonicalize_duplicates(spec: GroupSpec) -> GroupSpec:
     """Map a toroidal spec to the representative kept in the overview table."""
     if spec.kind != "toroidal":
         return spec
-    if spec.family in ("1", "."):
-        p = dict(spec.params)
-        s = _canonical_s(p["m"], p["n"], p["s"] % p["n"])
-        spec = toroidal_spec(spec.family, m=p["m"], n=p["n"], s=s)
-    if constraints_ok(spec):
-        return spec
-    seen = {spec}
-    cur = spec
-    while not constraints_ok(cur):
-        nxt = _dup_target(cur)
-        if nxt is None:
-            nxt = _searched_duplicate(cur)
-        if nxt is None or nxt in seen:
-            raise SpecError(f"no canonical form found for {cur.spec_string()}")
-        seen.add(nxt)
-        cur = nxt
-    return cur
+    cur = _in_order(spec)
+    if constraints_ok(cur):
+        return cur
+    target = _dup_target(cur)
+    if target is None or not constraints_ok(target):
+        raise SpecError(f"no duplication rule covers {spec.spec_string()}")
+    return target
 
 
 def _alt_torus_quats():
@@ -537,12 +634,6 @@ def _built(spec: GroupSpec) -> PointGroup:
     return build_unchecked(spec)
 
 
-@lru_cache(maxsize=None)
-def _fp_string(spec: GroupSpec) -> str:
-    from .group import fingerprint
-    return str(fingerprint(_built(spec)))
-
-
 def conjugate_seq(G: PointGroup, hs) -> PointGroup:
     """Conjugate by the product of the given transformations, stepwise exact."""
     for h in hs:
@@ -580,18 +671,6 @@ def duplication_conjugator(spec1: GroupSpec, spec2: GroupSpec):
             except (RepresentationError, NotToroidalError):
                 pass
             return (h1, h2)
-    return None
-
-
-def _searched_duplicate(spec: GroupSpec):
-    N = spec_order(spec)
-    fp = _fp_string(spec)
-    from .catalog import _toroidal_specs_of_order
-    for cand in _toroidal_specs_of_order(N):
-        if _fp_string(cand) != fp:
-            continue
-        if duplication_conjugator(spec, cand) is not None:
-            return cand
     return None
 
 

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from pg4.catalog import (
@@ -20,6 +22,20 @@ from pg4.catalog import (
     tubical_spec,
 )
 from pg4.group import equals, fingerprint, is_chiral, left_right_groups, order
+
+
+def test_build_checks_the_cap_before_closure(monkeypatch):
+    from pg4 import catalog, group
+    monkeypatch.setattr(group, "DEFAULT_CAP", 100)
+    assert order(build(parse_spec("tor:1:m=10,n=10,s=0"))) == 100  # at the cap: built
+
+    def no_closure(spec):
+        raise AssertionError("closure started")
+
+    monkeypatch.setattr(catalog, "build_unchecked", no_closure)
+    for text, n in (("tor:1:m=10,n=11,s=0", 110), ("tub:+-[IxC]:n=1", 120)):
+        with pytest.raises(group.ClosureCapExceeded, match=rf"{re.escape(text)} has order {n}"):
+            build(parse_spec(text))
 
 
 def test_named_constants():

@@ -77,10 +77,38 @@ def test_catalog_listing():
 
 def test_error_exit_codes():
     r = run("build", "tub:nope:n=3")
-    assert r.returncode == 1 and r.stderr.startswith("error:")
+    assert r.returncode == 1 and r.stderr.startswith("error: build: ")
     r = run("build", "tor:X/c2mm:m=1,n=5")
-    assert r.returncode == 2 and r.stderr.startswith("error:")
+    assert r.returncode == 2 and r.stderr.startswith("error: build: ")
     assert "\n" not in r.stderr.strip()
+    r = run("classify", "--generators", "no/such/file.jsonl")
+    assert r.returncode == 2 and r.stderr.startswith("error: classify: ")
+    r = run("fingerprint", "tor:L:a=1,b=0")
+    assert r.returncode == 2 and r.stderr.startswith("error: fingerprint: ")
+
+
+@pytest.mark.parametrize("cmd", ["orbit", "cell"])
+@pytest.mark.parametrize("point", ["0,0,0,0", "nan,0,0,1", "1,inf,0,0", "1,2,3", "a,b,c,d"])
+def test_bad_start_point_is_a_one_line_error(cmd, point):
+    r = run(cmd, "tub:+-[TxC]:n=1", "--point", point)
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr.startswith(f"error: {cmd}: --point: ") and r.stderr.count("\n") == 1
+    assert "Warning" not in r.stderr and "Traceback" not in r.stderr
+
+
+def test_over_cap_build_is_refused_before_closure(monkeypatch, capsys):
+    from pg4 import catalog, cli, group
+
+    def no_closure(spec):
+        raise AssertionError("closure started")
+
+    monkeypatch.setattr(group, "DEFAULT_CAP", 100)
+    monkeypatch.setattr(catalog, "build_unchecked", no_closure)
+    assert cli.main(["build", "tor:1:m=10,n=11,s=0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: build: group closure: tor:1:m=10,n=11,s=0 ")
+    assert "110" in captured.err
 
 
 def test_closure_cap_is_a_one_line_error(tmp_path, monkeypatch, capsys):

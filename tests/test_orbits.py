@@ -35,6 +35,17 @@ def test_orbit_24_cell():
     assert len(orb) == 24
 
 
+@pytest.mark.parametrize("v", [[0, 0, 0, 0], [np.nan, 0, 0, 1], [np.inf, 0, 0, 1],
+                               [1e200, 0, 0, 0]])
+def test_orbit_refuses_degenerate_start(v):
+    import warnings
+    G = build(tubical_spec("+-[TxC]", 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before numpy warns
+        with pytest.raises(ValueError, match=r"start point \[.*\] has no finite nonzero norm"):
+            orbit(G, v)
+
+
 def test_generic_orbit_free():
     G = build(tubical_spec("+-[OxC]", 2))
     orb = orbit(G, GENERIC_START)

@@ -1,5 +1,8 @@
 import random
+import re
+import sys
 from fractions import Fraction as Fr
+from functools import lru_cache
 from math import cos, lcm, pi, sin
 
 import numpy as np
@@ -9,15 +12,21 @@ from hypothesis import strategies as st
 
 from pg4.algebra import CycloQuat
 from pg4.catalog import (
+    SpecError,
+    _toroidal_specs_of_order,
     build,
     build_unchecked,
+    constraints_ok,
     list_catalog,
     parse_spec,
+    spec_order,
     toroidal_spec,
 )
-from pg4.group import conjugate, equals, order
+from pg4.group import conjugate, equals, fingerprint, order
 from pg4.toroidal import (
+    _DUPLICATION_RULES,
     NotToroidalError,
+    _built,
     TAG_ACTION,
     canonicalize_duplicates,
     classify_toroidal,
@@ -174,6 +183,92 @@ def test_canonical_spec_unchanged():
     for text in ("tor:1:m=2,n=5,s=1", "tor:X/c2mm:m=5,n=5", "tor:L:a=4,b=3"):
         sp = parse_spec(text)
         assert canonicalize_duplicates(sp) == sp
+
+
+# ---------------------------------------------------------------------------
+# the duplication rules against a search over the catalog
+
+@lru_cache(maxsize=None)
+def _fp_string(spec):
+    return str(fingerprint(_built(spec)))
+
+
+def _searched_duplicate(spec):
+    """The in-range spec conjugate to spec: the first same-order catalog spec
+    with the same fingerprint and a conjugator.  The reference the rule table
+    must agree with; it builds and fingerprints every candidate."""
+    fp = _fp_string(spec)
+    for cand in _toroidal_specs_of_order(spec_order(spec)):
+        if _fp_string(cand) == fp and duplication_conjugator(spec, cand) is not None:
+            return cand
+    return None
+
+
+def test_rules_match_search_small():
+    for sp in duplication_rows(20):
+        assert canonicalize_duplicates(sp) == _searched_duplicate(sp), sp.spec_string()
+
+
+def _rule_class_rows(lo, hi, rng):
+    """One row per rule with a parameter class: each class parameter drawn
+    from its residues in (lo, hi], the fixed parameters kept."""
+    from pg4.catalog import TOROIDAL_FAMILIES
+    from pg4.toroidal import _PARAM_CLASSES
+
+    def draw(w):
+        if not isinstance(w, str):
+            return w
+        q, r = _PARAM_CLASSES[w]
+        return rng.choice([k for k in range(lo + 1, hi + 1) if k % q == r])
+
+    rows = []
+    for fam, rules in _DUPLICATION_RULES.items():
+        names = TOROIDAL_FAMILIES[fam].param_names
+        for where, _, _ in rules:
+            if any(isinstance(w, str) for w in where):
+                rows.append(toroidal_spec(fam, **dict(zip(names, map(draw, where)))))
+    return rows
+
+
+def test_rules_match_search_seeded_large():
+    for sp in _rule_class_rows(20, 48, random.Random(20261018)):
+        assert not constraints_ok(sp) and max(v for _, v in sp.params) > 20, sp.spec_string()
+        assert canonicalize_duplicates(sp) == _searched_duplicate(sp), sp.spec_string()
+    sp = toroidal_spec("X/c2mm", m=36, n=2)
+    assert canonicalize_duplicates(sp) == toroidal_spec("X/p2gm", m=36, n=4)
+
+
+def _forbid_everywhere(monkeypatch, fn):
+    """Make every pg4 module's binding of fn raise."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"{fn.__name__} called")
+    for name, mod in list(sys.modules.items()):
+        if name == "pg4" or name.startswith("pg4."):
+            for key, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, key, forbidden)
+
+
+def test_canonicalize_builds_nothing(monkeypatch):
+    import pg4.catalog
+    import pg4.group
+    rows = duplication_rows(50)
+    for fn in (pg4.catalog.build_unchecked, pg4.group.generate, pg4.group.fingerprint):
+        _forbid_everywhere(monkeypatch, fn)
+    for sp in rows:
+        target = canonicalize_duplicates(sp)
+        assert constraints_ok(target) and spec_order(target) == spec_order(sp), sp.spec_string()
+
+
+@pytest.mark.parametrize("text", [
+    "tor://cm:m=2,n=1", "tor:X/c2mm:m=1,n=2", "tor:X/p2mm:m=3,n=2",
+    "tor:\\/pg:m=3,n=2", "tor:L:a=0,b=0", "tor:.:m=0,n=3,s=0", "tor:*/p4mmS:n=0",
+])
+def test_uncovered_spec_is_refused(text):
+    sp = parse_spec(text)
+    assert not constraints_ok(sp)
+    with pytest.raises(SpecError, match=re.escape(sp.spec_string())):
+        canonicalize_duplicates(sp)
 
 
 def test_translation_closure_under_directional_parts():
