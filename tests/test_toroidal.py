@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from pg4.algebra import CycloQuat
 from pg4.catalog import (
+    TOROIDAL_FAMILIES,
     SpecError,
     _toroidal_specs_of_order,
     build,
@@ -25,6 +26,7 @@ from pg4.catalog import (
 from pg4.group import conjugate, equals, fingerprint, order
 from pg4.toroidal import (
     _DUPLICATION_RULES,
+    _PARAM_CLASSES,
     NotToroidalError,
     _built,
     TAG_ACTION,
@@ -212,9 +214,6 @@ def test_rules_match_search_small():
 def _rule_class_rows(lo, hi, rng):
     """One row per rule with a parameter class: each class parameter drawn
     from its residues in (lo, hi], the fixed parameters kept."""
-    from pg4.catalog import TOROIDAL_FAMILIES
-    from pg4.toroidal import _PARAM_CLASSES
-
     def draw(w):
         if not isinstance(w, str):
             return w
