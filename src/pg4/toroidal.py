@@ -26,6 +26,7 @@ from .catalog import (
     SpecError,
     build_unchecked,
     constraints_ok,
+    spec_order,
     toroidal_spec,
 )
 from .constants import MINUS_K, ONE, QI, QJ, QK
@@ -634,6 +635,12 @@ def _built(spec: GroupSpec) -> PointGroup:
     return build_unchecked(spec)
 
 
+@lru_cache(maxsize=None)
+def _fp_string(spec: GroupSpec) -> str:
+    from .group import fingerprint
+    return str(fingerprint(_built(spec)))
+
+
 def conjugate_seq(G: PointGroup, hs) -> PointGroup:
     """Conjugate by the product of the given transformations, stepwise exact."""
     for h in hs:
@@ -671,6 +678,21 @@ def duplication_conjugator(spec1: GroupSpec, spec2: GroupSpec):
             except (RepresentationError, NotToroidalError):
                 pass
             return (h1, h2)
+    return None
+
+
+def _searched_duplicate(spec: GroupSpec):
+    """The in-range spec conjugate to spec: the first same-order catalog spec
+    with the same fingerprint and a conjugator, or None.
+
+    The reference that the tests check ``_DUPLICATION_RULES`` against; no
+    library path calls it.  It builds and fingerprints every candidate, so it
+    costs seconds per spec at parameters near 40."""
+    from .catalog import _toroidal_specs_of_order
+    fp = _fp_string(spec)
+    for cand in _toroidal_specs_of_order(spec_order(spec)):
+        if _fp_string(cand) == fp and duplication_conjugator(spec, cand) is not None:
+            return cand
     return None
 
 

@@ -96,21 +96,6 @@ def test_bad_start_point_is_a_one_line_error(cmd, point):
     assert "Warning" not in r.stderr and "Traceback" not in r.stderr
 
 
-def test_over_cap_build_is_refused_before_closure(monkeypatch, capsys):
-    from pg4 import catalog, cli, group
-
-    def no_closure(spec):
-        raise AssertionError("closure started")
-
-    monkeypatch.setattr(group, "DEFAULT_CAP", 100)
-    monkeypatch.setattr(catalog, "build_unchecked", no_closure)
-    assert cli.main(["build", "tor:1:m=10,n=11,s=0"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.count("\n") == 1
-    assert captured.err.startswith("error: build: group closure: tor:1:m=10,n=11,s=0 ")
-    assert "110" in captured.err
-
-
 def test_closure_cap_is_a_one_line_error(tmp_path, monkeypatch, capsys):
     from functools import partial
 
@@ -124,3 +109,8 @@ def test_closure_cap_is_a_one_line_error(tmp_path, monkeypatch, capsys):
     assert cli.main(["classify", "--generators", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: classify: group closure:") and err.count("\n") == 1
+    monkeypatch.setattr(group, "DEFAULT_CAP", 100)  # order 110: refused before closure
+    assert cli.main(["build", "tor:1:m=10,n=11,s=0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: build: group closure: tor:1:m=10,n=11,s=0 has order 110")

@@ -2,7 +2,6 @@ import random
 import re
 import sys
 from fractions import Fraction as Fr
-from functools import lru_cache
 from math import cos, lcm, pi, sin
 
 import numpy as np
@@ -14,7 +13,6 @@ from pg4.algebra import CycloQuat
 from pg4.catalog import (
     TOROIDAL_FAMILIES,
     SpecError,
-    _toroidal_specs_of_order,
     build,
     build_unchecked,
     constraints_ok,
@@ -23,12 +21,12 @@ from pg4.catalog import (
     spec_order,
     toroidal_spec,
 )
-from pg4.group import conjugate, equals, fingerprint, order
+from pg4.group import conjugate, equals, order
 from pg4.toroidal import (
     _DUPLICATION_RULES,
     _PARAM_CLASSES,
+    _searched_duplicate,
     NotToroidalError,
-    _built,
     TAG_ACTION,
     canonicalize_duplicates,
     classify_toroidal,
@@ -189,22 +187,6 @@ def test_canonical_spec_unchanged():
 
 # ---------------------------------------------------------------------------
 # the duplication rules against a search over the catalog
-
-@lru_cache(maxsize=None)
-def _fp_string(spec):
-    return str(fingerprint(_built(spec)))
-
-
-def _searched_duplicate(spec):
-    """The in-range spec conjugate to spec: the first same-order catalog spec
-    with the same fingerprint and a conjugator.  The reference the rule table
-    must agree with; it builds and fingerprints every candidate."""
-    fp = _fp_string(spec)
-    for cand in _toroidal_specs_of_order(spec_order(spec)):
-        if _fp_string(cand) == fp and duplication_conjugator(spec, cand) is not None:
-            return cand
-    return None
-
 
 def test_rules_match_search_small():
     for sp in duplication_rows(20):
