@@ -215,6 +215,35 @@ def test_toroidal_digest_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == TOROIDAL_DIGEST_SHA256
 
 
+# sha256 of repr(build_unchecked(sp).generators), one line per spec, for the
+# toroidal list_catalog(48) specs and duplication_rows(12)
+TOROIDAL_GENERATORS_SHA256 = "e327476a18eaabc19bdfe9e87a1cb9752cbb343f8b858506c9deed070ce9d5df"
+# sha256 of repr(list(G.elements)), one line per polyhedral group
+POLYHEDRAL_ELEMENTS_SHA256 = "ba79cf42b63122ad28b37c38ba0f3b63ed8d2d1a1f95e62dad5128ff53be7d71"
+
+
+def test_construction_order_pinned():
+    # closure runs BFS from the generators in list order, and the element
+    # order drives the orbit, OFF and `pg4 orbit` bytes: both are pinned
+    import hashlib
+    from pg4.catalog import build_unchecked
+    from pg4.toroidal import duplication_rows
+    from pg4.transform import to_matrix
+    specs = [sp for sp in list_catalog(48) if sp.kind == "toroidal"] + duplication_rows(12)
+    text = "\n".join(repr(build_unchecked(sp).generators) for sp in specs)
+    assert hashlib.sha256(text.encode()).hexdigest() == TOROIDAL_GENERATORS_SHA256
+    groups = {name: build(polyhedral_spec(name)) for name in POLYHEDRAL_ORDERS}
+    text = "\n".join(repr(list(G.elements)) for G in groups.values())
+    assert hashlib.sha256(text.encode()).hexdigest() == POLYHEDRAL_ELEMENTS_SHA256
+
+    def has_hyperplane_mirror(G):
+        return any(g.star and abs(to_matrix(g).trace() - 2.0) < 1e-9 for g in G.elements)
+
+    assert has_hyperplane_mirror(groups["+1/60[IxIb].23"])
+    assert has_hyperplane_mirror(groups["+-1/60[IxIb].2"])
+    assert not has_hyperplane_mirror(groups["+1/60[IxIb].21"])
+
+
 def test_cs_name_type1():
     assert cs_name_type1(parse_spec("tor:1:m=6,n=5,s=-2")) == "+-1/5[C15(4)xC5]"
     assert cs_name_type1(parse_spec("tor:1:m=3,n=5,s=-1")) == "+1/5[C15(9)xC5]"
