@@ -417,10 +417,6 @@ def _promote(c: CycloQuat) -> AlgQuat:
     return AlgQuat(cs[0], cs[1], F(0), F(0))
 
 
-def promotable(q: Quat) -> bool:
-    return isinstance(q, AlgQuat) or q.den in (1, 2, 4)
-
-
 _ALG_MUL_CACHE: dict = {}
 
 

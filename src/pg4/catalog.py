@@ -11,16 +11,19 @@ Families and canonical parameter ranges:
 
 The family records are the one place for family facts: ``TUBICAL_FAMILIES``
 (order factor, ``n_min``, induced 3D group, generators, Goursat shape),
-``TOROIDAL_FAMILIES`` (parameters, chirality, order factor) and
-``POLYHEDRAL_FAMILIES`` (order, chirality, Coxeter alias) hold one row per
-family; the axial orders and chiralities follow from the tags of ``_G3``.
+``TOROIDAL_FAMILIES`` (parameters, chirality, order factor, parameter range,
+generators) and ``POLYHEDRAL_FAMILIES`` (order, Coxeter alias, and either the
+recipe of a chiral group or the base and fixed reversing element of an
+index-2 extension) hold one row per family; the axial orders and chiralities
+follow from the tags of ``_G3``.
 ``build``, ``spec_order``, ``spec_chiral``, ``constraints_ok``,
 classification and counting all read them.
 
 ``build`` turns a ``GroupSpec`` into the actual ``PointGroup``; parameter
 constraints follow the overview tables, so the catalog is duplicate-free by
 construction.  ``build_unchecked`` also accepts out-of-range toroidal
-parameters, which is what the duplication machinery exercises.
+parameters, which is what the duplication machinery exercises; where a
+lattice step would divide by zero it raises ``SpecError``.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from functools import lru_cache
 from math import gcd, isqrt
 from typing import Callable
 
-from .algebra import CycloQuat, exp_i, quat_mul, quat_neg
+from .algebra import CycloQuat, Quat, exp_i, quat_mul, quat_neg
 from .constants import (
     MINUS_J,
     MINUS_K,
@@ -60,7 +63,7 @@ from .group import (
     from_elements,
     generate,
 )
-from .transform import reflection, rotation, to_matrix
+from .transform import reflection, rotation
 
 Q = Fraction
 
@@ -219,40 +222,168 @@ def _build_tubical(spec: GroupSpec) -> PointGroup:
 # ---------------------------------------------------------------------------
 # toroidal families
 
+def _grid(m: int, n: int) -> list:
+    """The translations 1/m and 1/n along the two torus axes."""
+    return [rotation(exp_i(Q(1, m)), ONE), rotation(ONE, exp_i(Q(1, n)))]
+
+
+def _rhombic(m: int, n: int) -> list:
+    """The cm lattice: the 2/m, 2/n grid and its centre (1/m, 1/n)."""
+    return [
+        rotation(exp_i(Q(2, m)), ONE),
+        rotation(ONE, exp_i(Q(2, n))),
+        rotation(exp_i(Q(1, m)), exp_i(Q(1, n))),
+    ]
+
+
+def _diagonal(m: int, n: int) -> list:
+    """The translations 1/m along x = y and 1/n along x = -y."""
+    return [
+        rotation(exp_i(Q(1, m)), exp_i(Q(1, m))),
+        rotation(exp_i(Q(1, n)), exp_i(Q(-1, n))),
+    ]
+
+
+def _mid(m: int, n: int) -> Transform4:
+    """The cm mid-translation of the diagonal lattice."""
+    return rotation(exp_i(Q(1, 2 * m) + Q(1, 2 * n)), exp_i(Q(1, 2 * m) - Q(1, 2 * n)))
+
+
+def _glide(k: int) -> Fraction:
+    """Half a turn plus half the step 1/k."""
+    return Q(1, 2 * k) + Q(1, 2)
+
+
+def _translations(m: int, n: int, s: int) -> list:
+    """The m n translation lattice of shift s."""
+    return [
+        rotation(exp_i(Q(-2, m)), ONE),
+        rotation(exp_i(Q(-(m + 2 * s), m * n)), exp_i(Q(1, n))),
+    ]
+
+
+def _swapturn(a: int, b: int) -> list:
+    c2 = a * a + b * b
+    return [
+        rotation(exp_i(Q(-(a + b), c2)), exp_i(Q(a - b, c2))),
+        rotation(exp_i(Q(a - b, c2)), exp_i(Q(a + b, c2))),
+        reflection(MINUS_J, ONE),
+    ]
+
+
+def _even(m_min: int, n_min: int) -> Callable:
+    return lambda m, n: m % 2 == 0 and n % 2 == 0 and m >= m_min and n >= n_min
+
+
+def _same_parity(m_min: int, n_min: int) -> Callable:
+    return lambda m, n: m >= m_min and n >= n_min and (m - n) % 2 == 0
+
+
+def _positive(m: int, n: int) -> bool:
+    return m >= 1 and n >= 1
+
+
+def _descending(m: int, n: int) -> bool:
+    return m >= n >= 1 and (m, n) != (1, 1)
+
+
+def _shift_ok(m: int, n: int, s: int) -> bool:
+    return m >= 1 and n >= 1 and -m <= 2 * s <= n - m
+
+
 @dataclass(frozen=True)
 class ToroidalFamily:
+    """A toroidal family: its canonical parameter range and its generators,
+    both functions of the parameters in ``param_names`` order."""
+
     family: str
     param_names: tuple
     chiral: bool
-    order_factor: int  # |G| = order_factor * (m n, a^2 + b^2 or n^2)
+    order_factor: int     # |G| = order_factor * (m n, a^2 + b^2 or n^2)
+    in_range: Callable    # (*params) -> bool
+    generators: Callable  # (*params) -> generator transforms
 
 
 TOROIDAL_FAMILIES = {f.family: f for f in (
-    ToroidalFamily("1", ("m", "n", "s"), True, 1),
-    ToroidalFamily(".", ("m", "n", "s"), True, 2),
-    ToroidalFamily("\\/pm", ("m", "n"), True, 1),
-    ToroidalFamily("\\/pg", ("m", "n"), True, 1),
-    ToroidalFamily("\\/cm", ("m", "n"), True, 2),
-    ToroidalFamily("//pm", ("m", "n"), True, 1),
-    ToroidalFamily("//pg", ("m", "n"), True, 1),
-    ToroidalFamily("//cm", ("m", "n"), True, 2),
-    ToroidalFamily("X/p2mm", ("m", "n"), True, 2),
-    ToroidalFamily("X/p2mg", ("m", "n"), True, 2),
-    ToroidalFamily("X/p2gm", ("m", "n"), True, 2),
-    ToroidalFamily("X/p2gg", ("m", "n"), True, 2),
-    ToroidalFamily("X/c2mm", ("m", "n"), True, 4),
-    ToroidalFamily("|/pm", ("m", "n"), False, 2),
-    ToroidalFamily("|/pg", ("m", "n"), False, 2),
-    ToroidalFamily("|/cm", ("m", "n"), False, 4),
-    ToroidalFamily("+/p2mm", ("m", "n"), False, 4),
-    ToroidalFamily("+/p2mg", ("m", "n"), False, 4),
-    ToroidalFamily("+/p2gg", ("m", "n"), False, 4),
-    ToroidalFamily("+/c2mm", ("m", "n"), False, 8),
-    ToroidalFamily("L", ("a", "b"), False, 4),
-    ToroidalFamily("*/p4mmU", ("n",), False, 8),
-    ToroidalFamily("*/p4gmU", ("n",), False, 8),
-    ToroidalFamily("*/p4mmS", ("n",), False, 16),
-    ToroidalFamily("*/p4gmS", ("n",), False, 16),
+    ToroidalFamily("1", ("m", "n", "s"), True, 1, _shift_ok, _translations),
+    ToroidalFamily(".", ("m", "n", "s"), True, 2,
+                   lambda m, n, s: _shift_ok(m, n, s) and (m, n) not in ((1, 1), (2, 1)),
+                   lambda m, n, s: _translations(m, n, s) + [rotation(QJ, QJ)]),
+    ToroidalFamily("\\/pm", ("m", "n"), True, 1, _even(4, 4),
+                   lambda m, n: _grid(m // 2, n // 2) + [rotation(MINUS_K, QI)]),
+    ToroidalFamily("\\/pg", ("m", "n"), True, 1, _even(4, 2),
+                   lambda m, n: _grid(m // 2, n // 2)
+                   + [rotation(MINUS_K, exp_i(_glide(n // 2)))]),
+    ToroidalFamily("\\/cm", ("m", "n"), True, 2, _same_parity(3, 2),
+                   lambda m, n: _rhombic(m, n) + [rotation(MINUS_K, QI)]),
+    ToroidalFamily("//pm", ("m", "n"), True, 1, _even(4, 4),
+                   lambda m, n: _grid(m // 2, n // 2) + [rotation(QI, QK)]),
+    ToroidalFamily("//pg", ("m", "n"), True, 1, _even(2, 4),
+                   lambda m, n: _grid(m // 2, n // 2)
+                   + [rotation(exp_i(_glide(m // 2)), QK)]),
+    ToroidalFamily("//cm", ("m", "n"), True, 2, _same_parity(2, 3),
+                   lambda m, n: _rhombic(m, n) + [rotation(QI, QK)]),
+    ToroidalFamily("X/p2mm", ("m", "n"), True, 2, _even(4, 4),
+                   lambda m, n: _grid(m // 2, n // 2)
+                   + [rotation(QI, QK), rotation(MINUS_K, QI)]),
+    ToroidalFamily("X/p2mg", ("m", "n"), True, 2, _even(4, 4),
+                   lambda m, n: _grid(m // 2, n // 2) + [
+                       rotation(QI, CycloQuat(_glide(n // 2), 1)),
+                       rotation(MINUS_K, exp_i(_glide(n // 2))),
+                   ]),
+    ToroidalFamily("X/p2gm", ("m", "n"), True, 2, _even(4, 4),
+                   lambda m, n: _grid(m // 2, n // 2) + [
+                       rotation(exp_i(_glide(m // 2)), QK),
+                       rotation(CycloQuat(_glide(m // 2) + 1, 1), QI),
+                   ]),
+    ToroidalFamily("X/p2gg", ("m", "n"), True, 2, _even(4, 4),
+                   lambda m, n: _grid(m // 2, n // 2) + [
+                       rotation(exp_i(_glide(m // 2)), CycloQuat(_glide(n // 2), 1)),
+                       rotation(CycloQuat(_glide(m // 2) + 1, 1), exp_i(_glide(n // 2))),
+                   ]),
+    ToroidalFamily("X/c2mm", ("m", "n"), True, 4, _same_parity(3, 3),
+                   lambda m, n: _rhombic(m, n) + [rotation(QI, QK), rotation(MINUS_K, QI)]),
+    ToroidalFamily("|/pm", ("m", "n"), False, 2, _positive,
+                   lambda m, n: _diagonal(m, n) + [reflection(QI, QI)]),
+    ToroidalFamily("|/pg", ("m", "n"), False, 2, _positive,
+                   lambda m, n: _diagonal(m, n)
+                   + [reflection(exp_i(_glide(m)), exp_i(_glide(m)))]),
+    ToroidalFamily("|/cm", ("m", "n"), False, 4, _positive,
+                   lambda m, n: _diagonal(m, n) + [_mid(m, n), reflection(QI, QI)]),
+    ToroidalFamily("+/p2mm", ("m", "n"), False, 4, _descending,
+                   lambda m, n: _diagonal(m, n) + [reflection(QI, QI), reflection(QK, QK)]),
+    ToroidalFamily("+/p2mg", ("m", "n"), False, 4,
+                   lambda m, n: _positive(m, n) and (m, n) != (1, 1),
+                   lambda m, n: _diagonal(m, n) + [
+                       reflection(exp_i(_glide(n)), exp_i(Q(1, 2) - Q(1, 2 * n))),
+                       reflection(CycloQuat(Q(1, 2) - Q(1, 2 * n), 1), CycloQuat(_glide(n), 1)),
+                   ]),
+    ToroidalFamily("+/p2gg", ("m", "n"), False, 4, _descending,
+                   lambda m, n: _diagonal(m, n) + [
+                       reflection(exp_i(Q(1, 2) + Q(1, 2 * m) + Q(1, 2 * n)),
+                                  exp_i(Q(1, 2) + Q(1, 2 * m) - Q(1, 2 * n))),
+                       reflection(CycloQuat(Q(1, 2) - Q(1, 2 * m) - Q(1, 2 * n), 1),
+                                  CycloQuat(Q(1, 2) - Q(1, 2 * m) + Q(1, 2 * n), 1)),
+                   ]),
+    ToroidalFamily("+/c2mm", ("m", "n"), False, 8, _descending,
+                   lambda m, n: _diagonal(m, n)
+                   + [_mid(m, n), reflection(QI, QI), reflection(QK, QK)]),
+    ToroidalFamily("L", ("a", "b"), False, 4,
+                   lambda a, b: a >= b >= 0 and a >= 2 and (a, b) != (2, 0), _swapturn),
+    ToroidalFamily("*/p4mmU", ("n",), False, 8, lambda n: n >= 3,
+                   lambda n: _diagonal(n, n) + [rotation(QI, QK), reflection(QI, QI)]),
+    ToroidalFamily("*/p4gmU", ("n",), False, 8, lambda n: n >= 3,
+                   lambda n: _diagonal(n, n) + [
+                       rotation(exp_i(Q(1, 2) + Q(1, n)), QK),
+                       reflection(exp_i(Q(1, 2) + Q(1, n)), QI),
+                   ]),
+    ToroidalFamily("*/p4mmS", ("n",), False, 16, lambda n: n >= 2,
+                   lambda n: _grid(n, n) + [rotation(QI, QK), reflection(QI, QI)]),
+    ToroidalFamily("*/p4gmS", ("n",), False, 16, lambda n: n >= 2,
+                   lambda n: _grid(n, n) + [
+                       rotation(exp_i(_glide(n)), CycloQuat(Q(1, 2) - Q(1, 2 * n), 1)),
+                       reflection(exp_i(_glide(n)), exp_i(_glide(n))),
+                   ]),
 )}
 
 
@@ -270,197 +401,11 @@ def _s_range(m: int, n: int):
     return range(-(m // 2), (n - m) // 2 + 1)
 
 
-def _toroidal_in_range(family: str, p: dict) -> bool:
-    m, n = p.get("m", 0), p.get("n", 0)
-    if family in ("1", "."):
-        s = p["s"]
-        if m < 1 or n < 1 or not (-m <= 2 * s <= n - m):
-            return False
-        return family == "1" or (m, n) not in ((1, 1), (2, 1))
-    if family == "\\/pm":
-        return m % 2 == 0 and n % 2 == 0 and m >= 4 and n >= 4
-    if family == "\\/pg":
-        return m % 2 == 0 and n % 2 == 0 and m >= 4 and n >= 2
-    if family == "\\/cm":
-        return m >= 3 and n >= 2 and (m - n) % 2 == 0
-    if family == "//pm":
-        return m % 2 == 0 and n % 2 == 0 and m >= 4 and n >= 4
-    if family == "//pg":
-        return m % 2 == 0 and n % 2 == 0 and m >= 2 and n >= 4
-    if family == "//cm":
-        return m >= 2 and n >= 3 and (m - n) % 2 == 0
-    if family in ("X/p2mm", "X/p2mg", "X/p2gm", "X/p2gg"):
-        return m % 2 == 0 and n % 2 == 0 and m >= 4 and n >= 4
-    if family == "X/c2mm":
-        return m >= 3 and n >= 3 and (m - n) % 2 == 0
-    if family in ("|/pm", "|/pg", "|/cm"):
-        return m >= 1 and n >= 1
-    if family in ("+/p2mm", "+/p2gg"):
-        return m >= n >= 1 and (m, n) != (1, 1)
-    if family == "+/p2mg":
-        return m >= 1 and n >= 1 and (m, n) != (1, 1)
-    if family == "+/c2mm":
-        return m >= n >= 1 and (m, n) != (1, 1)
-    if family == "L":
-        a, b = p["a"], p["b"]
-        return a >= b >= 0 and a >= 2 and (a, b) != (2, 0)
-    if family in ("*/p4mmU", "*/p4gmU"):
-        return p["n"] >= 3
-    if family in ("*/p4mmS", "*/p4gmS"):
-        return p["n"] >= 2
-    raise SpecError(f"unknown toroidal family {family}")
-
-
-def _toroidal_generators(family: str, p: dict):
-    m, n = p.get("m", 0), p.get("n", 0)
-    if family in ("1", "."):
-        s = p["s"]
-        gens = [
-            rotation(exp_i(Q(-2, m)), ONE),
-            rotation(exp_i(Q(-(m + 2 * s), m * n)), exp_i(Q(1, n))),
-        ]
-        if family == ".":
-            gens.append(rotation(QJ, QJ))
-        return gens
-    if family.startswith("\\/") or family.startswith("//"):
-        swap = QK if family.startswith("//") else None
-        if family.endswith("cm"):
-            gens = [
-                rotation(exp_i(Q(2, m)), ONE),
-                rotation(ONE, exp_i(Q(2, n))),
-                rotation(exp_i(Q(1, m)), exp_i(Q(1, n))),
-            ]
-            half = None
-        else:
-            mh, nh = m // 2, n // 2
-            gens = [rotation(exp_i(Q(1, mh)), ONE), rotation(ONE, exp_i(Q(1, nh)))]
-            half = (mh, nh)
-        if family == "\\/pm" or family == "\\/cm":
-            gens.append(rotation(MINUS_K, QI))
-        elif family == "\\/pg":
-            gens.append(rotation(MINUS_K, exp_i(Q(1, 2 * half[1]) + Q(1, 2))))
-        elif family == "//pm" or family == "//cm":
-            gens.append(rotation(QI, QK))
-        elif family == "//pg":
-            gens.append(rotation(exp_i(Q(1, 2 * half[0]) + Q(1, 2)), QK))
-        return gens
-    if family.startswith("X/"):
-        sub = family[2:]
-        if sub == "c2mm":
-            return [
-                rotation(exp_i(Q(2, m)), ONE),
-                rotation(ONE, exp_i(Q(2, n))),
-                rotation(exp_i(Q(1, m)), exp_i(Q(1, n))),
-                rotation(QI, QK),
-                rotation(MINUS_K, QI),
-            ]
-        mh, nh = m // 2, n // 2
-        base = [rotation(exp_i(Q(1, mh)), ONE), rotation(ONE, exp_i(Q(1, nh)))]
-        if sub == "p2mm":
-            return base + [rotation(QI, QK), rotation(MINUS_K, QI)]
-        if sub == "p2mg":
-            sh = Q(1, 2 * nh)
-            return base + [
-                rotation(QI, CycloQuat(sh + Q(1, 2), 1)),
-                rotation(MINUS_K, exp_i(sh + Q(1, 2))),
-            ]
-        if sub == "p2gm":
-            sh = Q(1, 2 * mh)
-            return base + [
-                rotation(exp_i(sh + Q(1, 2)), QK),
-                rotation(CycloQuat(sh + Q(3, 2), 1), QI),
-            ]
-        if sub == "p2gg":
-            shm, shn = Q(1, 2 * mh), Q(1, 2 * nh)
-            return base + [
-                rotation(exp_i(shm + Q(1, 2)), CycloQuat(shn + Q(1, 2), 1)),
-                rotation(CycloQuat(shm + Q(3, 2), 1), exp_i(shn + Q(1, 2))),
-            ]
-    if family.startswith("|/"):
-        base = [
-            rotation(exp_i(Q(1, m)), exp_i(Q(1, m))),
-            rotation(exp_i(Q(1, n)), exp_i(Q(-1, n))),
-        ]
-        sub = family[2:]
-        if sub == "pm":
-            return base + [reflection(QI, QI)]
-        if sub == "pg":
-            g = exp_i(Q(1, 2) + Q(1, 2 * m))
-            return base + [reflection(g, g)]
-        if sub == "cm":
-            mid = rotation(exp_i(Q(1, 2 * m) + Q(1, 2 * n)), exp_i(Q(1, 2 * m) - Q(1, 2 * n)))
-            return base + [mid, reflection(QI, QI)]
-    if family.startswith("+/"):
-        base = [
-            rotation(exp_i(Q(1, m)), exp_i(Q(1, m))),
-            rotation(exp_i(Q(1, n)), exp_i(Q(-1, n))),
-        ]
-        sub = family[2:]
-        if sub == "p2mm":
-            return base + [reflection(QI, QI), reflection(QK, QK)]
-        if sub == "p2mg":
-            sh = Q(1, 2 * n)
-            return base + [
-                reflection(exp_i(Q(1, 2) + sh), exp_i(Q(1, 2) - sh)),
-                reflection(CycloQuat(Q(1, 2) - sh, 1), CycloQuat(Q(1, 2) + sh, 1)),
-            ]
-        if sub == "p2gg":
-            u, v = Q(1, 2 * m) + Q(1, 2 * n), Q(1, 2 * m) - Q(1, 2 * n)
-            return base + [
-                reflection(exp_i(Q(1, 2) + u), exp_i(Q(1, 2) + v)),
-                reflection(CycloQuat(Q(1, 2) - u, 1), CycloQuat(Q(1, 2) - v, 1)),
-            ]
-        if sub == "c2mm":
-            mid = rotation(exp_i(Q(1, 2 * m) + Q(1, 2 * n)), exp_i(Q(1, 2 * m) - Q(1, 2 * n)))
-            return base + [mid, reflection(QI, QI), reflection(QK, QK)]
-    if family == "L":
-        a, b = p["a"], p["b"]
-        c2 = a * a + b * b
-        return [
-            rotation(exp_i(Q(-(a + b), c2)), exp_i(Q(a - b, c2))),
-            rotation(exp_i(Q(a - b, c2)), exp_i(Q(a + b, c2))),
-            reflection(MINUS_J, ONE),
-        ]
-    if family.startswith("*/"):
-        nn = p["n"]
-        sub = family[2:]
-        if sub == "p4mmU":
-            return [
-                rotation(exp_i(Q(1, nn)), exp_i(Q(1, nn))),
-                rotation(exp_i(Q(1, nn)), exp_i(Q(-1, nn))),
-                rotation(QI, QK),
-                reflection(QI, QI),
-            ]
-        if sub == "p4gmU":
-            sh = Q(1, nn)
-            return [
-                rotation(exp_i(Q(1, nn)), exp_i(Q(1, nn))),
-                rotation(exp_i(Q(1, nn)), exp_i(Q(-1, nn))),
-                rotation(exp_i(Q(1, 2) + sh), QK),
-                reflection(exp_i(Q(1, 2) + sh), QI),
-            ]
-        if sub == "p4mmS":
-            return [
-                rotation(exp_i(Q(1, nn)), ONE),
-                rotation(ONE, exp_i(Q(1, nn))),
-                rotation(QI, QK),
-                reflection(QI, QI),
-            ]
-        if sub == "p4gmS":
-            sh = Q(1, 2 * nn)
-            return [
-                rotation(exp_i(Q(1, nn)), ONE),
-                rotation(ONE, exp_i(Q(1, nn))),
-                rotation(exp_i(Q(1, 2) + sh), CycloQuat(Q(1, 2) - sh, 1)),
-                reflection(exp_i(Q(1, 2) + sh), exp_i(Q(1, 2) + sh)),
-            ]
-    raise SpecError(f"unknown toroidal family {family}")
-
-
-
-def _build_toroidal(spec: GroupSpec) -> PointGroup:
-    p = dict(spec.params)
-    return generate(_toroidal_generators(spec.family, p))
+def _toroidal_family(spec: GroupSpec) -> ToroidalFamily:
+    try:
+        return TOROIDAL_FAMILIES[spec.family]
+    except KeyError:
+        raise SpecError(f"unknown toroidal family {spec.family}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -491,106 +436,74 @@ def _fraction_group(S: frozenset, N: frozenset) -> PointGroup:
     return _pairs_group((l, r) for l in S for r in cosets[l])
 
 
-def _simplex_group(diploid: bool) -> PointGroup:
-    """The twisted-diagonal icosahedral groups of the 4-simplex."""
-    for sign in (1, -1):
-        gen2 = rotation(I_I, I_I_PRIME if sign > 0 else quat_neg(I_I_PRIME))
-        G = generate([rotation(OMEGA, OMEGA), gen2])
-        has_neg = Transform4(False, ONE, MINUS_ONE) in G.elements
-        if has_neg == diploid:
-            return G
-    raise SpecError("simplex group construction failed")
-
-
-def _has_hyperplane_mirror(G: PointGroup) -> bool:
-    """True if some reversing element is a reflection R̄_0 (trace +2)."""
-    for g in G.elements:
-        if g.star and abs(to_matrix(g).trace() - 2.0) < 1e-9:
-            return True
-    return False
-
-
-@lru_cache(maxsize=None)
-def _polyhedral_chiral(name: str) -> PointGroup:
-    T, O, I2 = two_T(), two_O(), two_I()
-    full = {
-        "+-[TxT]": (T, T), "+-[TxO]": (T, O), "+-[OxT]": (O, T),
-        "+-[OxO]": (O, O), "+-[TxI]": (T, I2), "+-[IxT]": (I2, T),
-        "+-[OxI]": (O, I2), "+-[IxO]": (I2, O), "+-[IxI]": (I2, I2),
-    }
-    if name in full:
-        return _full_product(*full[name])
-    if name == "+-1/2[OxO]":
-        return _fraction_group(O, T)
-    if name == "+-1/6[OxO]":
-        return _fraction_group(O, quaternion_Q8())
-    if name == "+-1/3[TxT]":
-        return _fraction_group(T, quaternion_Q8())
-    if name == "+-1/60[IxIb]":
-        return _simplex_group(diploid=True)
-    if name == "+1/60[IxIb]":
-        return _simplex_group(diploid=False)
-    raise SpecError(f"unknown polyhedral group {name}")
+def _simplex_group(r: Quat) -> PointGroup:
+    """The twisted-diagonal icosahedral group of the 4-simplex generated by
+    [w, w] and [i_I, r]: diploid for r = -i_I', not for r = i_I'."""
+    return generate([rotation(OMEGA, OMEGA), rotation(I_I, r)])
 
 
 _STAR = reflection(ONE, ONE)
 _MINUS_STAR = reflection(ONE, MINUS_ONE)
 
 
-@lru_cache(maxsize=None)
-def _polyhedral_group(name: str) -> PointGroup:
-    if POLYHEDRAL_FAMILIES[name].chiral:
-        return _polyhedral_chiral(name)
-    base, ext = name.rsplit(".", 1)
-    G = _polyhedral_chiral(base)
-    if ext == "2":
-        e = _STAR
-    elif ext == "2b":
-        e = reflection(ONE, I_O) if base == "+-1/2[OxO]" else reflection(I_O, I_O)
-    elif ext == "23":
-        e = _STAR if _has_hyperplane_mirror(extend_achiral(G, _STAR)) else _MINUS_STAR
-    elif ext == "21":
-        e = _MINUS_STAR if _has_hyperplane_mirror(extend_achiral(G, _STAR)) else _STAR
-    else:
-        raise SpecError(f"unknown polyhedral group {name}")
-    return extend_achiral(G, e)
-
-
 @dataclass(frozen=True)
 class PolyhedralFamily:
+    """A polyhedral group: a chiral group and its recipe, or the index-2
+    extension of the chiral group ``base`` by the reversing element ``ext``."""
+
     name: str      # Conway-Smith name
     order: int
-    chiral: bool
     coxeter: str   # Coxeter-style alias, accepted by parse_spec
+    recipe: Callable | None = None   # () -> the chiral group
+    base: str | None = None
+    ext: Transform4 | None = None
+
+    @property
+    def chiral(self) -> bool:
+        return self.ext is None
 
 
 POLYHEDRAL_FAMILIES = {f.name: f for f in (
-    PolyhedralFamily("+-[TxT]", 288, True, "[+3,4,3+]"),
-    PolyhedralFamily("+-1/3[TxT]", 96, True, "[+3,3,4+]"),
-    PolyhedralFamily("+-[TxO]", 576, True, "[[+3,4,3+]]R"),
-    PolyhedralFamily("+-[OxT]", 576, True, "[[+3,4,3+]]L"),
-    PolyhedralFamily("+-[TxI]", 1440, True, "[3,3,5]+_1/5R"),
-    PolyhedralFamily("+-[IxT]", 1440, True, "[3,3,5]+_1/5L"),
-    PolyhedralFamily("+-[OxO]", 1152, True, "[[3,4,3]]+"),
-    PolyhedralFamily("+-1/2[OxO]", 576, True, "[3,4,3]+"),
-    PolyhedralFamily("+-1/6[OxO]", 192, True, "[3,3,4]+"),
-    PolyhedralFamily("+-[OxI]", 2880, True, "[[3,3,5]+_1/5R]"),
-    PolyhedralFamily("+-[IxO]", 2880, True, "[[3,3,5]+_1/5L]"),
-    PolyhedralFamily("+-[IxI]", 7200, True, "[3,3,5]+"),
-    PolyhedralFamily("+-1/60[IxIb]", 120, True, "[[3,3,3]]+"),
-    PolyhedralFamily("+1/60[IxIb]", 60, True, "[3,3,3]+"),
-    PolyhedralFamily("+-[IxI].2", 14400, False, "[3,3,5]"),
-    PolyhedralFamily("+-[OxO].2", 2304, False, "[[3,4,3]]"),
-    PolyhedralFamily("+-1/2[OxO].2", 1152, False, "[3,4,3]"),
-    PolyhedralFamily("+-1/2[OxO].2b", 1152, False, "[[3,4,3]+]"),
-    PolyhedralFamily("+-[TxT].2", 576, False, "[3,4,3+]"),
-    PolyhedralFamily("+-1/6[OxO].2", 384, False, "[3,3,4]"),
-    PolyhedralFamily("+-1/3[TxT].2", 192, False, "[+3,3,4]"),
-    PolyhedralFamily("+-1/3[TxT].2b", 192, False, "[3,3,4+]"),
-    PolyhedralFamily("+-1/60[IxIb].2", 240, False, "[[3,3,3]]"),
-    PolyhedralFamily("+1/60[IxIb].23", 120, False, "[3,3,3]"),
-    PolyhedralFamily("+1/60[IxIb].21", 120, False, "[[3,3,3]+]"),
+    PolyhedralFamily("+-[TxT]", 288, "[+3,4,3+]", lambda: _full_product(two_T(), two_T())),
+    PolyhedralFamily("+-1/3[TxT]", 96, "[+3,3,4+]",
+                     lambda: _fraction_group(two_T(), quaternion_Q8())),
+    PolyhedralFamily("+-[TxO]", 576, "[[+3,4,3+]]R", lambda: _full_product(two_T(), two_O())),
+    PolyhedralFamily("+-[OxT]", 576, "[[+3,4,3+]]L", lambda: _full_product(two_O(), two_T())),
+    PolyhedralFamily("+-[TxI]", 1440, "[3,3,5]+_1/5R", lambda: _full_product(two_T(), two_I())),
+    PolyhedralFamily("+-[IxT]", 1440, "[3,3,5]+_1/5L", lambda: _full_product(two_I(), two_T())),
+    PolyhedralFamily("+-[OxO]", 1152, "[[3,4,3]]+", lambda: _full_product(two_O(), two_O())),
+    PolyhedralFamily("+-1/2[OxO]", 576, "[3,4,3]+", lambda: _fraction_group(two_O(), two_T())),
+    PolyhedralFamily("+-1/6[OxO]", 192, "[3,3,4]+",
+                     lambda: _fraction_group(two_O(), quaternion_Q8())),
+    PolyhedralFamily("+-[OxI]", 2880, "[[3,3,5]+_1/5R]", lambda: _full_product(two_O(), two_I())),
+    PolyhedralFamily("+-[IxO]", 2880, "[[3,3,5]+_1/5L]", lambda: _full_product(two_I(), two_O())),
+    PolyhedralFamily("+-[IxI]", 7200, "[3,3,5]+", lambda: _full_product(two_I(), two_I())),
+    PolyhedralFamily("+-1/60[IxIb]", 120, "[[3,3,3]]+",
+                     lambda: _simplex_group(quat_neg(I_I_PRIME))),
+    PolyhedralFamily("+1/60[IxIb]", 60, "[3,3,3]+", lambda: _simplex_group(I_I_PRIME)),
+    PolyhedralFamily("+-[IxI].2", 14400, "[3,3,5]", base="+-[IxI]", ext=_STAR),
+    PolyhedralFamily("+-[OxO].2", 2304, "[[3,4,3]]", base="+-[OxO]", ext=_STAR),
+    PolyhedralFamily("+-1/2[OxO].2", 1152, "[3,4,3]", base="+-1/2[OxO]", ext=_STAR),
+    PolyhedralFamily("+-1/2[OxO].2b", 1152, "[[3,4,3]+]", base="+-1/2[OxO]",
+                     ext=reflection(ONE, I_O)),
+    PolyhedralFamily("+-[TxT].2", 576, "[3,4,3+]", base="+-[TxT]", ext=_STAR),
+    PolyhedralFamily("+-1/6[OxO].2", 384, "[3,3,4]", base="+-1/6[OxO]", ext=_STAR),
+    PolyhedralFamily("+-1/3[TxT].2", 192, "[+3,3,4]", base="+-1/3[TxT]", ext=_STAR),
+    PolyhedralFamily("+-1/3[TxT].2b", 192, "[3,3,4+]", base="+-1/3[TxT]",
+                     ext=reflection(I_O, I_O)),
+    PolyhedralFamily("+-1/60[IxIb].2", 240, "[[3,3,3]]", base="+-1/60[IxIb]", ext=_STAR),
+    PolyhedralFamily("+1/60[IxIb].23", 120, "[3,3,3]", base="+1/60[IxIb]", ext=_MINUS_STAR),
+    PolyhedralFamily("+1/60[IxIb].21", 120, "[[3,3,3]+]", base="+1/60[IxIb]", ext=_STAR),
 )}
+
+
+@lru_cache(maxsize=None)
+def _polyhedral_group(name: str) -> PointGroup:
+    fam = POLYHEDRAL_FAMILIES[name]
+    if fam.chiral:
+        return fam.recipe()
+    return extend_achiral(_polyhedral_group(fam.base), fam.ext)
+
 
 POLYHEDRAL_ORDERS = {name: f.order for name, f in POLYHEDRAL_FAMILIES.items()}
 
@@ -721,7 +634,7 @@ def constraints_ok(spec: GroupSpec) -> bool:
         fam = TUBICAL_FAMILIES[tubical_base(spec.family)]
         return spec.param("n") >= fam.n_min
     if spec.kind == "toroidal":
-        return _toroidal_in_range(spec.family, dict(spec.params))
+        return _toroidal_family(spec).in_range(*[v for _, v in spec.params])
     if spec.kind == "polyhedral":
         return spec.family in POLYHEDRAL_ORDERS
     return spec.family in AXIAL_FAMILIES
@@ -731,7 +644,13 @@ def build_unchecked(spec: GroupSpec) -> PointGroup:
     if spec.kind == "tubical":
         return _build_tubical(spec)
     if spec.kind == "toroidal":
-        return _build_toroidal(spec)
+        fam = _toroidal_family(spec)
+        try:
+            gens = fam.generators(*[v for _, v in spec.params])
+        except ZeroDivisionError:
+            raise SpecError(f"no toroidal group {spec.spec_string()}: "
+                            "a lattice step divides by zero") from None
+        return generate(gens)
     if spec.kind == "polyhedral":
         return _polyhedral_group(spec.family)
     return _axial_group(spec.family)
@@ -811,30 +730,22 @@ def _toroidal_specs_of_order(N: int):
                     continue
                 n = size // m
                 for s in _s_range(m, n):
-                    sp = toroidal_spec(fam, m=m, n=n, s=s)
-                    if constraints_ok(sp):
-                        specs.append(sp)
+                    if info.in_range(m, n, s):
+                        specs.append(toroidal_spec(fam, m=m, n=n, s=s))
         elif names == ("m", "n"):
             for m in range(1, size + 1):
-                if size % m:
-                    continue
-                sp = toroidal_spec(fam, m=m, n=size // m)
-                if constraints_ok(sp):
-                    specs.append(sp)
+                if size % m == 0 and info.in_range(m, size // m):
+                    specs.append(toroidal_spec(fam, m=m, n=size // m))
         elif names == ("a", "b"):
             for b in range(isqrt(size // 2) + 1):
                 a2 = size - b * b
                 a = isqrt(a2)
-                if a * a == a2 and a >= b:
-                    sp = toroidal_spec(fam, a=a, b=b)
-                    if constraints_ok(sp):
-                        specs.append(sp)
+                if a * a == a2 and a >= b and info.in_range(a, b):
+                    specs.append(toroidal_spec(fam, a=a, b=b))
         else:  # ("n",)
             k = isqrt(size)
-            if k * k == size:
-                sp = toroidal_spec(fam, n=k)
-                if constraints_ok(sp):
-                    specs.append(sp)
+            if k * k == size and info.in_range(k):
+                specs.append(toroidal_spec(fam, n=k))
     return specs
 
 

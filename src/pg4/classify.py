@@ -80,21 +80,12 @@ def _kernels(G: PointGroup) -> tuple:
     return frozenset(L0), frozenset(R0)
 
 
-def _quat_group_shape(S: frozenset):
-    t = classify_quat_group(S)
-    if t.kind == "C":
-        return ("C", t.n)
-    if t.kind == "D":
-        return ("D", t.n)
-    return (t.kind, 0)
-
-
 def _classify_tubical_left(G: PointGroup) -> GroupSpec:
     L, R = left_right_groups(G)
     ltype = classify_quat_group(L)
-    rshape = _quat_group_shape(R)
+    rt = classify_quat_group(R)
     L0, R0 = _kernels(G)
-    r0shape = _quat_group_shape(R0)
+    r0t = classify_quat_group(R0)
     l0 = classify_quat_group(L0)
     if l0.kind == "D" and l0.n == 2:
         l0tag = "D4"
@@ -107,7 +98,7 @@ def _classify_tubical_left(G: PointGroup) -> GroupSpec:
         if rem or n < fam.n_min:
             continue
         (rk, rmul), (r0k, r0mul) = fam.r_shape, fam.r0_shape
-        if rshape != (rk, rmul * n) or r0shape != (r0k, r0mul * n):
+        if (rt.kind, rt.n) != (rk, rmul * n) or (r0t.kind, r0t.n) != (r0k, r0mul * n):
             continue
         spec = tubical_spec(fam.name, n)
         if equals(build(spec), G):

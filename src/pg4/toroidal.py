@@ -298,8 +298,6 @@ def classify_toroidal(G: PointGroup) -> GroupSpec:
             sub, m, n = "p2mg", n, m
         else:
             sub = "p2gg"
-        if sub in ("p2mm", "p2gg", "c2mm") and m < n:
-            m, n = n, m
         return canonicalize_duplicates(toroidal_spec(f"+/{sub}", m=m, n=n))
 
     if tags == {"1", ".", "L", "R"}:
@@ -334,7 +332,8 @@ def _isqrt_exact(x: int):
 
 
 def _square_lattice_params(pts, den):
-    """(a, b) with a >= b >= 0 for a square lattice of a^2 + b^2 points."""
+    """(a, b), both >= 0 and in either order, for a square lattice of a^2 + b^2
+    points; ``canonicalize_duplicates`` puts a >= b."""
     c2 = len(pts)
     best = min(((x * x + y * y, x, y) for x, y in pts if (x, y) != (0, 0)), default=None)
     if best is None:
@@ -343,8 +342,6 @@ def _square_lattice_params(pts, den):
     if (x * c2) % den or (y * c2) % den:
         raise NotToroidalError("lattice is not a square sublattice of the grid")
     a, b = x * c2 // den, y * c2 // den
-    if a < b:
-        a, b = b, a
     if a * a + b * b != c2:
         raise NotToroidalError("minimal vector does not generate the square lattice")
     return a, b

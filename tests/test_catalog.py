@@ -277,6 +277,16 @@ def test_constraints():
         build(toroidal_spec("L", a=2, b=0))
     with pytest.raises(SpecError):
         build(tubical_spec("+-[IxD2]", 1))
+    # out of range, where a lattice step of the generators divides by zero
+    from pg4.catalog import build_unchecked, constraints_ok
+    for text in ("tor:\\/pm:m=1,n=1", "tor:\\/pg:m=2,n=1", "tor:X/p2mm:m=1,n=4",
+                 "tor://pg:m=1,n=2"):
+        with pytest.raises(SpecError, match=re.escape(text)):
+            build_unchecked(parse_spec(text))
+    unknown = GroupSpec("toroidal", "Q", (("m", 1), ("n", 1)))
+    for fn in (build_unchecked, constraints_ok):
+        with pytest.raises(SpecError, match="unknown toroidal family Q"):
+            fn(unknown)
 
 
 def test_parse_spec_grammar():
