@@ -44,28 +44,6 @@ from .group import (
     left_right_groups,
     order,
 )
-from .hopf import (
-    CliffordTorus,
-    GreatCircle,
-    circle_distance,
-    circle_sample,
-    hopf_map,
-    stabilizer_rotation_angle,
-    tangential_slice_map,
-    torus_distance,
-    transform_circle,
-)
-from .orbits import (
-    Mesh,
-    Orbit,
-    color_orbits,
-    export_mesh,
-    induced_group,
-    orbit,
-    orbit_circle_polygon,
-    polar_cell,
-    screw_angles,
-)
 from .toroidal import (
     TorusLattice,
     canonicalize_duplicates,
@@ -83,5 +61,36 @@ from .transform import (
     to_matrix,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The float layer (numpy, scipy) loads on first use of one of its names.
+_LAZY = {
+    "hopf": ("hopf", None),
+    "orbits": ("orbits", None),
+    **{name: ("hopf", name) for name in (
+        "CliffordTorus", "GreatCircle", "circle_distance", "circle_sample", "hopf_map",
+        "stabilizer_rotation_angle", "tangential_slice_map", "torus_distance",
+        "transform_circle")},
+    **{name: ("orbits", name) for name in (
+        "Mesh", "Orbit", "color_orbits", "export_mesh", "induced_group", "orbit",
+        "orbit_circle_polygon", "polar_cell", "screw_angles")},
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    module, attr = _LAZY[name]
+    value = import_module(f"{__name__}.{module}")
+    if attr is not None:
+        value = getattr(value, attr)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))
+
+
+__all__ = sorted({name for name in globals() if not name.startswith("_")} | set(_LAZY))
 __version__ = "0.1.0"

@@ -524,17 +524,15 @@ HYBRIDS = [
 ]
 
 
+# the quaternion set of each tag of _G3, built on first use of the tag
+_G3_SETS = {"T": two_T, "O": two_O, "I": two_I, "O-T": lambda: two_O() - two_T(),
+            None: frozenset}
+
+
 def _g3_sets(name: str):
+    """The proper and improper quaternion sets of a 3D group."""
     tag_p, tag_m = _G3[name]
-    sets = {"T": two_T(), "O": two_O(), "I": two_I()}
-    proper = sets[tag_p]
-    if tag_m is None:
-        improper = frozenset()
-    elif tag_m == "O-T":
-        improper = sets["O"] - sets["T"]
-    else:
-        improper = sets[tag_m]
-    return proper, improper
+    return _G3_SETS[tag_p](), _G3_SETS[tag_m]()
 
 
 def _axial_elements(kind: str, g3: str, sub: str | None):

@@ -11,14 +11,11 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import catalog
 from .catalog import ParseError, SpecError, build, cs_name_type1, list_catalog, parse_spec, spec_order
 from .classify import ClassificationError, classify
 from .counting import OrderError, count_order, count_self_mirror
 from .group import ClosureCapExceeded, fingerprint, is_chiral, order
-from .orbits import center_of, export_mesh, orbit, polar_cell, unit_vector
 from .transform import transform_from_json
 
 SCHEMA = "pg4/1"
@@ -70,6 +67,8 @@ def _cmd_count(args):
 
 
 def _resolve_start(args, spec):
+    from .orbits import GENERIC_START, center_of, unit_vector
+
     if args.point:
         try:
             v = [float(x) for x in args.point.split(",")]
@@ -85,11 +84,12 @@ def _resolve_start(args, spec):
         from .hopf import GreatCircle
         p = center_of(spec, args.center)
         return GreatCircle.make(p, [1.0, 0.0, 0.0]).sample(0.05)
-    from .orbits import GENERIC_START
     return GENERIC_START
 
 
 def _cmd_orbit(args):
+    from .orbits import orbit
+
     spec = parse_spec(args.spec)
     G = build(spec)
     v = _resolve_start(args, spec)
@@ -99,6 +99,8 @@ def _cmd_orbit(args):
 
 
 def _cmd_cell(args):
+    from .orbits import export_mesh, orbit, polar_cell
+
     spec = parse_spec(args.spec)
     G = build(spec)
     v = _resolve_start(args, spec)
@@ -115,6 +117,8 @@ def _cmd_cell(args):
 
 
 def _closest_index(orb, v):
+    import numpy as np
+
     pts = orb.array()
     return int(np.argmin(((pts - v) ** 2).sum(axis=1)))
 

@@ -10,18 +10,19 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
-
-import numpy as np
+from functools import cached_property, partial
+from math import lcm
 
 from .algebra import (
     CycloQuat,
+    _cyc_make,
     quat_conj,
     quat_float4,
     quat_key,
     quat_mul,
     quat_neg,
     quat_order,
+    quat_sign_flip,
     ONE,
     MINUS_ONE,
 )
@@ -58,6 +59,8 @@ class PointGroup:
     def float_columns(self):
         """``(star, L, R)`` in ``elements`` iteration order: the reversing mask
         and the float quaternion components, ``L`` and ``R`` of shape (4, N)."""
+        import numpy as np
+
         els = list(self.elements)
         star = np.array([g.star for g in els], dtype=bool)
         L = np.array([quat_float4(g.l) for g in els], dtype=float).T.copy()
@@ -68,22 +71,129 @@ class PointGroup:
 
 
 def generate(gens, cap: int = DEFAULT_CAP) -> PointGroup:
-    """Smallest closed set of transformations containing the generators."""
+    """Smallest closed set of transformations containing the generators.
+
+    A breadth-first sweep from the identity that multiplies each element found
+    by every generator in turn (``compose(g, h)``).  It runs on integer codes:
+    ``_close_cyclo`` when every generator component is a CycloQuat,
+    ``_close_indexed`` otherwise.  Each ``Transform4`` is made once, in
+    discovery order, so the element set and its iteration order are those of
+    the sweep on ``Transform4`` values.
+    """
     gens = list(gens)
-    seen = {IDENTITY}
-    queue = [IDENTITY]
-    i = 0
-    while i < len(queue):
-        g = queue[i]
-        i += 1
-        for h in gens:
-            gh = compose(g, h)
+    if all(type(q) is CycloQuat for h in gens for q in (h.l, h.r)):
+        elements = _close_cyclo(gens, cap)
+    else:
+        elements = _close_indexed(gens, cap)
+    return PointGroup(frozenset(set(elements)), tuple(gens))
+
+
+class _Memo(dict):
+    """``fn(key)``, computed on first use of each key."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+def _close_cyclo(gens: list, cap: int) -> list:
+    """The sweep for CycloQuat components, on ints mod 2D.
+
+    With D the lcm of the generators' angle denominators, exp(kπi/D)·j^b is
+    (k mod 2D, b) and an element is (star, k_l, b_l, k_r, b_r).  Products
+    follow ``quat_mul``'s integer rule; the canonical sign moves k_l below D,
+    adding D to both k.
+    """
+    D = lcm(*(q.den for h in gens for q in (h.l, h.r)))
+    M = 2 * D
+    steps = []
+    for h in gens:
+        step = [int(h.star)]
+        for c in (h.l, h.r):
+            k = c.num * (D // c.den)
+            # exp(sπi)j^b · exp(tπi)j^c = exp((s ± t)πi)j^(b^c), with - for b = 1,
+            # and j·j = -1 (t + 1) for b = c = 1: the k shift for b = 0 and b = 1
+            step += (k, D * c.jbit - k, c.jbit)
+        steps.append(step)
+    start = (0, 0, 0, 0, 0)
+    seen = {start}
+    queue = [start]
+    for s, kl, bl, kr, br in queue:
+        for hs, l0, l1, lb, r0, r1, rb in steps:
+            # g∘h = [g.l·h.l, g.r·h.r], with g's components swapped when h reverses
+            if hs:
+                xk, xb, yk, yb = kr, br, kl, bl
+            else:
+                xk, xb, yk, yb = kl, bl, kr, br
+            k = (xk + (l1 if xb else l0)) % M
+            kk = yk + (r1 if yb else r0)
+            if k >= D:
+                k -= D
+                kk += D
+            gh = (s ^ hs, k, xb ^ lb, kk % M, yb ^ rb)
             if gh not in seen:
                 if len(seen) >= cap:
                     raise ClosureCapExceeded(f"not closed within cap {cap}")
                 seen.add(gh)
                 queue.append(gh)
-    return PointGroup(frozenset(seen), tuple(gens))
+    quat = [_Memo(partial(_cyc_make, den=D, jbit=b)) for b in (0, 1)]  # [b][k]
+    canonical = Transform4.canonical
+    return [IDENTITY] + [canonical(s == 1, quat[bl][kl], quat[br][kr])
+                         for s, kl, bl, kr, br in queue[1:]]
+
+
+def _close_indexed(gens: list, cap: int) -> list:
+    """The sweep for any components, on indices into a per-call table.
+
+    A quaternion with ``quat_sign_flip`` false gets an even index 2m and its
+    negative 2m + 1, so the canonical sign toggles the low bit of both
+    indices.  Right products by each generator component are memoized per
+    index: ``quat_mul`` runs once per (quaternion, component) pair met.
+    """
+    table = []
+    index = {}
+
+    def index_of(q):
+        i = index.get(q)
+        if i is None:
+            flip = quat_sign_flip(q)
+            p = quat_neg(q) if flip else q
+            i = len(table) + flip
+            for x in (p, quat_neg(p)):
+                index[x] = len(table)
+                table.append(x)
+        return i
+
+    def right(c):
+        return _Memo(lambda i: index_of(quat_mul(table[i], c)))
+
+    steps = [(int(h.star), right(h.l), right(h.r)) for h in gens]
+    one = index_of(ONE)
+    start = (0, one, one)
+    seen = {start}
+    queue = [start]
+    for s, a, b in queue:
+        for hs, ml, mr in steps:
+            if hs:
+                l, r = ml[b], mr[a]
+            else:
+                l, r = ml[a], mr[b]
+            if l & 1:
+                l ^= 1
+                r ^= 1
+            gh = (s ^ hs, l, r)
+            if gh not in seen:
+                if len(seen) >= cap:
+                    raise ClosureCapExceeded(f"not closed within cap {cap}")
+                seen.add(gh)
+                queue.append(gh)
+    canonical = Transform4.canonical
+    return [IDENTITY] + [canonical(s == 1, table[l], table[r]) for s, l, r in queue[1:]]
 
 
 def from_elements(elements, generators=()) -> PointGroup:

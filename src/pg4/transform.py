@@ -11,8 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .algebra import (
     Quat,
@@ -29,6 +28,9 @@ from .algebra import (
     ONE,
 )
 
+if TYPE_CHECKING:
+    import numpy as np
+
 
 class Transform4:
     """A rotation [l,r] or reversing map *[l,r], in canonical sign."""
@@ -42,6 +44,17 @@ class Transform4:
         self.l = l
         self.r = r
         self._hash = hash((star, l._hash, r._hash))
+
+    @classmethod
+    def canonical(cls, star: bool, l: Quat, r: Quat) -> Transform4:
+        """The pair as given, which must already be in canonical sign
+        (``quat_sign_flip(l)`` false); skips the sign test."""
+        g = cls.__new__(cls)
+        g.star = star
+        g.l = l
+        g.r = r
+        g._hash = hash((star, l._hash, r._hash))
+        return g
 
     def __hash__(self):
         return self._hash
@@ -105,6 +118,8 @@ def _mul4(a, b):
 
 def apply(g: Transform4, x) -> np.ndarray:
     """Image of a 4-vector under g (floating point)."""
+    import numpy as np
+
     w, x1, x2, x3 = (float(v) for v in x)
     q = (w, x1, x2, x3)
     if g.star:
@@ -121,6 +136,8 @@ def apply_columns(star, l, r, x) -> np.ndarray:
     of floats or of equal-length arrays, and all of them broadcast.  The
     arithmetic is ``apply``'s, elementwise, so each image is bit-identical.
     """
+    import numpy as np
+
     w, x1, x2, x3 = x
     q = (w, np.where(star, -x1, x1), np.where(star, -x2, x2), np.where(star, -x3, x3))
     lbar = (l[0], -l[1], -l[2], -l[3])
@@ -128,6 +145,8 @@ def apply_columns(star, l, r, x) -> np.ndarray:
 
 
 def to_matrix(g: Transform4) -> np.ndarray:
+    import numpy as np
+
     cols = [apply(g, e) for e in np.eye(4)]
     return np.column_stack(cols)
 

@@ -114,3 +114,66 @@ def test_closure_cap_is_a_one_line_error(tmp_path, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1
     assert captured.err.startswith("error: build: group closure: tor:1:m=10,n=11,s=0 has order 110")
+
+
+_EXACT_LAYER_SCRIPT = """
+import contextlib, io, json, sys
+import pg4
+from pg4 import cli
+from pg4.catalog import build_unchecked, parse_spec
+from pg4.transform import transform_to_json
+
+G = build_unchecked(parse_spec("tor:X/c2mm:m=6,n=2"))
+with open(sys.argv[1], "w") as fh:
+    fh.writelines(json.dumps(transform_to_json(g)) + "\\n" for g in G.generators)
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    for argv in (["count", "7200", "--breakdown", "--self-mirror"],
+                 ["build", "poly:+-[TxT]"], ["fingerprint", "tub:+-[IxC]:n=3"],
+                 ["classify", "--generators", sys.argv[1]], ["catalog", "--max-order", "12"]):
+        assert cli.main(argv) == 0, argv
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))))
+"""
+
+
+def test_exact_layers_import_no_numpy(tmp_path):
+    """``import pg4`` and the CLI commands without geometry load neither numpy
+    nor scipy; only the float layer (``pg4.orbits``, ``pg4.hopf``) does."""
+    r = subprocess.run([sys.executable, "-c", _EXACT_LAYER_SCRIPT, str(tmp_path / "gens.jsonl")],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout) == []
+
+
+# pg4.__all__ before the float layer became lazy
+_PUBLIC_NAMES = [
+    "AlgQuat", "AngleFraction", "Category", "ClassificationError", "CliffordTorus",
+    "CycloQuat", "ElementCode", "FieldElem", "Fingerprint", "GoursatData", "GreatCircle",
+    "GroupSpec", "Mesh", "NAMED", "Orbit", "OrderCensus", "OrderError", "PointGroup",
+    "Rational", "SpecError", "TorusLattice", "Transform4", "algebra", "angle_of", "apply",
+    "brute_force_census", "build", "canonicalize_duplicates", "catalog", "category",
+    "circle_distance", "circle_sample", "classify", "classify_toroidal", "color_orbits",
+    "compose", "conjugate", "constants", "contains", "count_order", "count_self_mirror",
+    "counting", "cs_name_type1", "e_n", "element_code", "equals", "export_mesh",
+    "extend_achiral", "fingerprint", "generate", "goursat_group", "group", "hopf",
+    "hopf_map", "induced_group", "inverse", "is_chiral", "left_right_groups",
+    "list_catalog", "normalize_lattice", "orbit", "orbit_circle_polygon", "orbits", "order",
+    "parse_spec", "polar_cell", "polyhedral_spec", "quat", "quat_conj", "quat_mul",
+    "quat_real", "right_variant", "screw_angles", "spec_order", "stabilizer_rotation_angle",
+    "tangential_slice_map", "to_matrix", "to_torus_rep", "toroidal", "toroidal_spec",
+    "torus_distance", "transform", "transform_circle", "tubical_spec",
+]
+
+
+def test_public_names_unchanged():
+    import pg4
+    from pg4 import orbits
+
+    assert pg4.__all__ == _PUBLIC_NAMES
+    assert set(_PUBLIC_NAMES) <= set(dir(pg4))
+    assert pg4.orbit is orbits.orbit and pg4.GreatCircle is pg4.hopf.GreatCircle
+    namespace = {}
+    exec("from pg4 import *", namespace)
+    assert set(_PUBLIC_NAMES) <= set(namespace)
+    with pytest.raises(AttributeError):
+        pg4.no_such_name
