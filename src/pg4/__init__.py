@@ -61,29 +61,27 @@ from .transform import (
     to_matrix,
 )
 
-# The float layer (numpy, scipy) loads on first use of one of its names.
-_LAZY = {
-    "hopf": ("hopf", None),
-    "orbits": ("orbits", None),
-    **{name: ("hopf", name) for name in (
-        "CliffordTorus", "GreatCircle", "circle_distance", "circle_sample", "hopf_map",
-        "stabilizer_rotation_angle", "tangential_slice_map", "torus_distance",
-        "transform_circle")},
-    **{name: ("orbits", name) for name in (
-        "Mesh", "Orbit", "color_orbits", "export_mesh", "induced_group", "orbit",
-        "orbit_circle_polygon", "polar_cell", "screw_angles")},
+# The float layer imports numpy and scipy, so its modules and names load on
+# first use (PEP 562).
+_FLOAT_LAYER = {
+    "hopf": ("CliffordTorus", "GreatCircle", "circle_distance", "circle_sample", "hopf_map",
+             "stabilizer_rotation_angle", "tangential_slice_map", "torus_distance",
+             "transform_circle"),
+    "orbits": ("Mesh", "Orbit", "color_orbits", "export_mesh", "induced_group", "orbit",
+               "orbit_circle_polygon", "polar_cell", "screw_angles"),
 }
+_LAZY = {name: module for module, names in _FLOAT_LAYER.items() for name in (module, *names)}
 
 
 def __getattr__(name):
-    if name not in _LAZY:
+    module = _LAZY.get(name)
+    if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from importlib import import_module
 
-    module, attr = _LAZY[name]
     value = import_module(f"{__name__}.{module}")
-    if attr is not None:
-        value = getattr(value, attr)
+    if name != module:
+        value = getattr(value, name)
     globals()[name] = value
     return value
 
