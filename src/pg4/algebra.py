@@ -603,8 +603,28 @@ def quat_to_json(q: Quat):
     return {"alg": [[str(f) for f in c.key()] for c in q.coords()]}
 
 
+def _json_rational(s) -> Fraction:
+    if isinstance(s, str) or (isinstance(s, int) and not isinstance(s, bool)):
+        try:
+            return Fraction(s)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"{s!r} is not a rational number")
+
+
 def quat_from_json(obj) -> Quat:
-    if "cyc" in obj:
-        return CycloQuat(Fraction(obj["cyc"]["t"]), 1 if obj["cyc"]["j"] else 0)
-    coords = [FieldElem(*(Fraction(s) for s in row)) for row in obj["alg"]]
-    return quat(*coords)
+    """The quaternion of ``quat_to_json``.  Raises ``ValueError`` for a malformed
+    object, and for an AlgQuat that is not a unit or whose real part is not in
+    ``_ARCCOS``: in Q(sqrt2, sqrt5) such a unit has infinite order."""
+    cyc = obj.get("cyc") if isinstance(obj, dict) else None
+    if isinstance(cyc, dict) and isinstance(cyc.get("j"), bool):
+        return CycloQuat(_json_rational(cyc.get("t")), 1 if cyc["j"] else 0)
+    rows = obj.get("alg") if isinstance(obj, dict) else None
+    if not (isinstance(rows, list) and len(rows) == 4
+            and all(isinstance(row, list) and len(row) == 4 for row in rows)):
+        raise ValueError('a quaternion is {"cyc": {"t": rational, "j": bool}} '
+                         'or {"alg": four rows of four rationals}')
+    q = quat(*(FieldElem(*map(_json_rational, row)) for row in rows))
+    if type(q) is AlgQuat and (q.norm2() != 1 or q.w not in _ARCCOS):
+        raise ValueError(f"{q!r} is not a unit quaternion of finite order")
+    return q

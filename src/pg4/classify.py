@@ -9,7 +9,7 @@ there is no general O(4) conjugacy search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .algebra import quat_neg
@@ -20,17 +20,15 @@ from .catalog import (
     TUBICAL_FAMILIES,
     build,
     polyhedral_spec,
-    right_variant,
     spec_order,
     tubical_spec,
 )
 from .constants import ONE
 from .group import (
     PointGroup,
-    Transform4,
+    QuatGroupType,
     classify_quat_group,
     equals,
-    from_elements,
     left_right_groups,
 )
 
@@ -42,6 +40,9 @@ class ClassificationError(ValueError):
 @dataclass(frozen=True)
 class Category:
     tag: str  # "toroidal" | "tubical-left" | "tubical-right" | "polyhedral-or-axial"
+    # the types of the left and right quaternion groups the tag was read from
+    left: QuatGroupType | None = field(default=None, compare=False, repr=False)
+    right: QuatGroupType | None = field(default=None, compare=False, repr=False)
 
 
 def category(G: PointGroup) -> Category:
@@ -49,22 +50,12 @@ def category(G: PointGroup) -> Category:
     tl = classify_quat_group(L)
     tr = classify_quat_group(R)
     if tl.polyhedral and tr.polyhedral:
-        return Category("polyhedral-or-axial")
+        return Category("polyhedral-or-axial", tl, tr)
     if tl.polyhedral:
-        return Category("tubical-left")
+        return Category("tubical-left", tl, tr)
     if tr.polyhedral:
-        return Category("tubical-right")
-    return Category("toroidal")
-
-
-def _mirror_group(G: PointGroup) -> PointGroup:
-    """Component swap [l,r] -> [r,l]; valid mirror for chiral groups."""
-    els = []
-    for g in G.elements:
-        if g.star:
-            raise ClassificationError("tubical groups are chiral")
-        els.append(Transform4(False, g.r, g.l))
-    return from_elements(els)
+        return Category("tubical-right", tl, tr)
+    return Category("toroidal", tl, tr)
 
 
 def _kernels(G: PointGroup) -> tuple:
@@ -80,17 +71,14 @@ def _kernels(G: PointGroup) -> tuple:
     return frozenset(L0), frozenset(R0)
 
 
-def _classify_tubical_left(G: PointGroup) -> GroupSpec:
-    L, R = left_right_groups(G)
-    ltype = classify_quat_group(L)
-    rt = classify_quat_group(R)
+def _classify_tubical(G: PointGroup, cat: Category) -> GroupSpec:
+    """Match the Goursat data of G, read from its polyhedral side, against the
+    family table; a right group is matched with its two sides swapped."""
+    right = cat.tag == "tubical-right"
     L0, R0 = _kernels(G)
-    r0t = classify_quat_group(R0)
-    l0 = classify_quat_group(L0)
-    if l0.kind == "D" and l0.n == 2:
-        l0tag = "D4"
-    else:
-        l0tag = l0.kind
+    ltype, rt, L0, R0 = (cat.right, cat.left, R0, L0) if right else (cat.left, cat.right, L0, R0)
+    l0, r0t = classify_quat_group(L0), classify_quat_group(R0)
+    l0tag = "D4" if (l0.kind, l0.n) == ("D", 2) else l0.kind
     for fam in TUBICAL_FAMILIES.values():
         if fam.left_type != ltype.kind or fam.l0 != l0tag:
             continue
@@ -100,7 +88,7 @@ def _classify_tubical_left(G: PointGroup) -> GroupSpec:
         (rk, rmul), (r0k, r0mul) = fam.r_shape, fam.r0_shape
         if (rt.kind, rt.n) != (rk, rmul * n) or (r0t.kind, r0t.n) != (r0k, r0mul * n):
             continue
-        spec = tubical_spec(fam.name, n)
+        spec = tubical_spec(fam.mirror_name if right else fam.name, n)
         if equals(build(spec), G):
             return spec
     raise ClassificationError("no tubical catalog match (non-standard coordinates?)")
@@ -129,8 +117,6 @@ def classify(G: PointGroup) -> GroupSpec:
     if cat.tag == "toroidal":
         from .toroidal import classify_toroidal
         return classify_toroidal(G)
-    if cat.tag == "tubical-left":
-        return _classify_tubical_left(G)
-    if cat.tag == "tubical-right":
-        return right_variant(_classify_tubical_left(_mirror_group(G)))
+    if cat.tag in ("tubical-left", "tubical-right"):
+        return _classify_tubical(G, cat)
     return _classify_finite(G)

@@ -13,8 +13,8 @@ import sys
 
 from . import catalog
 from .catalog import ParseError, SpecError, build, cs_name_type1, list_catalog, parse_spec, spec_order
-from .classify import ClassificationError, classify
-from .counting import OrderError, count_order, count_self_mirror
+from .classify import classify
+from .counting import count_order, count_self_mirror
 from .group import ClosureCapExceeded, fingerprint, is_chiral, order
 from .transform import transform_from_json
 
@@ -42,8 +42,14 @@ def _cmd_fingerprint(args):
 
 
 def _cmd_classify(args):
+    gens = []
     with open(args.generators) as fh:
-        gens = [transform_from_json(json.loads(line)) for line in fh if line.strip()]
+        for lineno, line in enumerate(fh, 1):
+            if line.strip():
+                try:
+                    gens.append(transform_from_json(json.loads(line)))
+                except ValueError as exc:
+                    raise ValueError(f"line {lineno}: {exc}") from None
     from .group import generate
     G = generate(gens)
     spec = classify(G)
@@ -180,7 +186,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         sys.stderr.write(f"error: {args.cmd}: {exc}\n")
         return 1
-    except (OrderError, SpecError, ClassificationError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {args.cmd}: {exc}\n")
         return 2
     except ClosureCapExceeded as exc:

@@ -156,6 +156,9 @@ def _center_point(induced: str, kind: str) -> np.ndarray:
 
 
 def center_of(spec: GroupSpec, kind: str) -> np.ndarray:
+    if spec.kind != "tubical":
+        raise ValueError(f"{spec.spec_string()} is not tubical: rotation centers "
+                         "are those of a tubical group's induced 3D group")
     base = tubical_base(spec.family)
     induced = TUBICAL_FAMILIES[base].induced
     return _center_point(induced, kind)

@@ -199,48 +199,59 @@ def _canonical_s(m: int, n: int, s0: int) -> int:
     raise NotToroidalError(f"no canonical s for (m={m}, n={n}, s0={s0})")
 
 
-def _min_positive(values):
-    pos = [v for v in values if v > 0]
-    return min(pos) if pos else None
-
-
 # ---------------------------------------------------------------------------
 # classification
 
 def _axis_counts(pts, den):
-    """(m, n) for axis-aligned lattices: y-step 1/m, x-step 1/n."""
-    sx = _min_positive([x for x, y in pts if y == 0] + [den])
-    sy = _min_positive([y for x, y in pts if x == 0] + [den])
-    return den // sy, den // sx
+    """(m, n, rhombic) for axis-aligned lattices: y-step 1/m, x-step 1/n."""
+    sx = min((x for x, y in pts if y == 0 and x > 0), default=den)
+    sy = min((y for x, y in pts if x == 0 and y > 0), default=den)
+    m, n = den // sy, den // sx
+    return m, n, len(pts) == 2 * m * n
 
 
 def _diag_counts(pts, den):
-    """(M, N): points on the principal and secondary diagonals."""
+    """(M, N, rhombic): points on the principal and secondary diagonals."""
     M = sum(1 for x, y in pts if x == y)
     N = sum(1 for x, y in pts if (x + y) % den == 0)
-    return M, N
+    return M, N, len(pts) == M * N
 
 
-def _on_diagonal(reps) -> bool:
-    """Some element translates along the principal diagonal: t1 = t2."""
-    return any(r.u1 == r.u2 for r in reps)
+# the torus swap (phi1, phi2) -> (phi2, phi1), conjugation by [i, k], on directional tags
+_SWAPPED_TAG = {"|": "-", "-": "|", "L": "R", "R": "L"}
 
 
-def _on_antidiagonal(reps) -> bool:
-    """Some element translates along the secondary diagonal: t1 + t2 = 0 mod 1."""
-    return any((r.u1 + r.u2) % r.den == 0 for r in reps)
+def _has_mirror(by_tag, tag: str) -> bool:
+    """Some element with directional part tag fixes a line: a mirror, not a glide."""
+    reps = by_tag[tag]
+    if tag == "|":
+        return any(r.u2 == 0 for r in reps)
+    if tag == "-":
+        return any(r.u1 == 0 for r in reps)
+    if tag == "/":
+        return any((r.u1 + r.u2) % r.den == 0 for r in reps)
+    return any(r.u1 == r.u2 for r in reps)  # "\\"
 
 
-def _swap_data(G: PointGroup) -> PointGroup:
-    """Conjugate by the torus swap [i, k], exchanging the two axes."""
-    return conjugate(G, rotation(QI, QK))
+def _one_mirror_subtype(mirror: bool, rhombic: bool) -> str:
+    return "cm" if (mirror and rhombic) else ("pm" if mirror else "pg")
+
+
+def _two_mirror_subtype(mirror_a: bool, mirror_b: bool, rhombic: bool) -> str:
+    if mirror_a and mirror_b:
+        return "c2mm" if rhombic else "p2mm"
+    if mirror_a:
+        return "p2mg"
+    return "p2gm" if mirror_b else "p2gg"
 
 
 def classify_toroidal(G: PointGroup) -> GroupSpec:
+    """The catalog spec of G, read from its torus data ``to_torus_rep(G)`` alone."""
     reps = to_torus_rep(G)
     tags = frozenset(r.tag for r in reps)
-    if tags == {"1", "-"}:
-        return classify_toroidal(_swap_data(G))
+    if tags == {"1", "-"}:  # read the group as its torus swap, a |/ group
+        reps = [TorusElement(_SWAPPED_TAG.get(r.tag, r.tag), r.u2, r.u1, r.den) for r in reps]
+        tags = frozenset(("1", "|"))
     by_tag = {}
     for r in reps:
         by_tag.setdefault(r.tag, []).append(r)
@@ -249,62 +260,30 @@ def classify_toroidal(G: PointGroup) -> GroupSpec:
     if tags <= {"1"} or tags == {"1", "."}:
         lat = _lattice_params(pts, den)
         fam = "1" if tags <= {"1"} else "."
-        return canonicalize_duplicates(toroidal_spec(fam, m=lat.m, n=lat.n, s=lat.s))
-
-    if tags == {"1", "|"}:
-        m, n = _axis_counts(pts, den)
-        rhombic = len(pts) == 2 * m * n
-        mirror = any(r.u2 == 0 for r in by_tag["|"])
-        sub = "cm" if (mirror and rhombic) else ("pm" if mirror else "pg")
-        return canonicalize_duplicates(toroidal_spec(f"|/{sub}", m=m, n=n))
-
-    if tags == {"1", "/"} or tags == {"1", "\\"}:
-        M, N = _diag_counts(pts, den)
-        rhombic = len(pts) == M * N
-        if tags == {"1", "/"}:
-            mirror = _on_antidiagonal(by_tag["/"])
-            fam = "//"
-        else:
-            mirror = _on_diagonal(by_tag["\\"])
-            fam = "\\/"
-        sub = "cm" if (mirror and rhombic) else ("pm" if mirror else "pg")
-        return canonicalize_duplicates(toroidal_spec(fam + sub, m=M, n=N))
-
-    if tags == {"1", ".", "/", "\\"}:
-        M, N = _diag_counts(pts, den)
-        rhombic = len(pts) == M * N
-        mir_s = _on_antidiagonal(by_tag["/"])
-        mir_b = _on_diagonal(by_tag["\\"])
-        if mir_s and mir_b:
-            sub = "c2mm" if rhombic else "p2mm"
-        elif mir_s:
-            sub = "p2mg"
-        elif mir_b:
-            sub = "p2gm"
-        else:
-            sub = "p2gg"
-        return canonicalize_duplicates(toroidal_spec(f"X/{sub}", m=M, n=N))
-
-    if tags == {"1", "|", "-", "."}:
-        m, n = _axis_counts(pts, den)
-        rhombic = len(pts) == 2 * m * n
-        mir_v = any(r.u2 == 0 for r in by_tag["|"])
-        mir_h = any(r.u1 == 0 for r in by_tag["-"])
-        if mir_v and mir_h:
-            sub = "c2mm" if rhombic else "p2mm"
-        elif mir_v:
-            sub = "p2mg"
-        elif mir_h:
+        params = {"m": lat.m, "n": lat.n, "s": lat.s}
+    elif tags == {"1", "|"}:
+        m, n, rhombic = _axis_counts(pts, den)
+        fam = "|/" + _one_mirror_subtype(_has_mirror(by_tag, "|"), rhombic)
+        params = {"m": m, "n": n}
+    elif tags == {"1", "/"} or tags == {"1", "\\"}:
+        M, N, rhombic = _diag_counts(pts, den)
+        tag = "/" if "/" in tags else "\\"
+        fam = tag + "/" + _one_mirror_subtype(_has_mirror(by_tag, tag), rhombic)
+        params = {"m": M, "n": N}
+    elif tags == {"1", ".", "/", "\\"}:
+        M, N, rhombic = _diag_counts(pts, den)
+        sub = _two_mirror_subtype(_has_mirror(by_tag, "/"), _has_mirror(by_tag, "\\"), rhombic)
+        fam, params = "X/" + sub, {"m": M, "n": N}
+    elif tags == {"1", "|", "-", "."}:
+        m, n, rhombic = _axis_counts(pts, den)
+        sub = _two_mirror_subtype(_has_mirror(by_tag, "|"), _has_mirror(by_tag, "-"), rhombic)
+        if sub == "p2gm":  # the swap of a +/p2mg group
             sub, m, n = "p2mg", n, m
-        else:
-            sub = "p2gg"
-        return canonicalize_duplicates(toroidal_spec(f"+/{sub}", m=m, n=n))
-
-    if tags == {"1", ".", "L", "R"}:
+        fam, params = "+/" + sub, {"m": m, "n": n}
+    elif tags == {"1", ".", "L", "R"}:
         a, b = _square_lattice_params(pts, den)
-        return canonicalize_duplicates(toroidal_spec("L", a=a, b=b))
-
-    if tags == {"1", ".", "/", "\\", "|", "-", "L", "R"}:
+        fam, params = "L", {"a": a, "b": b}
+    elif tags == {"1", ".", "/", "\\", "|", "-", "L", "R"}:
         c2 = len(pts)
         k = _isqrt_exact(c2)
         if k is not None:
@@ -314,16 +293,11 @@ def classify_toroidal(G: PointGroup) -> GroupSpec:
             if k is None:
                 raise NotToroidalError("full torus group with non-square lattice")
             sub_kind, nn = "S", k
-        mirrors = sum([
-            any(r.u2 == 0 for r in by_tag["|"]),
-            any(r.u1 == 0 for r in by_tag["-"]),
-            _on_antidiagonal(by_tag["/"]),
-            _on_diagonal(by_tag["\\"]),
-        ])
-        sub = "p4mm" if mirrors == 4 else "p4gm"
-        return canonicalize_duplicates(toroidal_spec(f"*/{sub}{sub_kind}", n=nn))
-
-    raise NotToroidalError(f"unrecognized directional group {sorted(tags)}")
+        sub = "p4mm" if all(_has_mirror(by_tag, t) for t in "|-/\\") else "p4gm"
+        fam, params = "*/" + sub + sub_kind, {"n": nn}
+    else:
+        raise NotToroidalError(f"unrecognized directional group {sorted(tags)}")
+    return canonicalize_duplicates(toroidal_spec(fam, **params))
 
 
 def _isqrt_exact(x: int):

@@ -196,4 +196,9 @@ def transform_to_json(g: Transform4):
 
 
 def transform_from_json(obj) -> Transform4:
-    return Transform4(bool(obj["star"]), quat_from_json(obj["l"]), quat_from_json(obj["r"]))
+    """The transformation of ``transform_to_json``; raises ``ValueError`` for a
+    malformed object or component (see ``quat_from_json``)."""
+    if not (isinstance(obj, dict) and isinstance(obj.get("star"), bool)
+            and "l" in obj and "r" in obj):
+        raise ValueError('a transformation is {"star": bool, "l": quaternion, "r": quaternion}')
+    return Transform4(obj["star"], quat_from_json(obj["l"]), quat_from_json(obj["r"]))

@@ -85,6 +85,33 @@ def test_error_exit_codes():
     assert r.returncode == 2 and r.stderr.startswith("error: classify: ")
     r = run("fingerprint", "tor:L:a=1,b=0")
     assert r.returncode == 2 and r.stderr.startswith("error: fingerprint: ")
+    r = run("orbit", "tor:1:m=3,n=5,s=1", "--center", "cyclic")
+    assert r.returncode == 2 and r.stderr.startswith("error: orbit: tor:1:m=3,n=5,s=1 ")
+    assert r.stderr.count("\n") == 1 and "Traceback" not in r.stderr
+
+
+_IDENTITY = {"cyc": {"t": "0", "j": False}}
+_ZERO = ["0", "0", "0", "0"]
+
+
+@pytest.mark.parametrize("line, message", [
+    (json.dumps({"star": False, "l": _IDENTITY}), "a transformation is "),
+    ("[1,2]", "a transformation is "),
+    (json.dumps({"star": False, "l": {"alg": [["1", "0", "0", "0"], ["1", "0", "0", "0"],
+                                              _ZERO, _ZERO]}, "r": _IDENTITY}),
+     "AlgQuat"),  # 1 + i: not a unit
+    (json.dumps({"star": False, "l": {"alg": [["3/5", "0", "0", "0"], ["4/5", "0", "0", "0"],
+                                              _ZERO, _ZERO]}, "r": _IDENTITY}),
+     "AlgQuat"),  # 3/5 + 4/5 i: a unit of infinite order
+], ids=["no-r", "not-an-object", "not-unit", "infinite-order"])
+def test_bad_generator_file_is_a_one_line_error(tmp_path, line, message):
+    path = tmp_path / "gens.jsonl"
+    first = json.dumps({"star": False, "l": _IDENTITY, "r": _IDENTITY})
+    path.write_text(first + "\n" + line + "\n")
+    r = run("classify", "--generators", str(path), timeout=10)
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr.startswith(f"error: classify: line 2: {message}") and r.stderr.count("\n") == 1
+    assert "Traceback" not in r.stderr
 
 
 @pytest.mark.parametrize("cmd", ["orbit", "cell"])

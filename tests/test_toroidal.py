@@ -241,6 +241,26 @@ def test_canonicalize_builds_nothing(monkeypatch):
         assert constraints_ok(target) and spec_order(target) == spec_order(sp), sp.spec_string()
 
 
+def test_classify_reads_only_the_group(monkeypatch):
+    """Right tubical groups and ``|/`` groups presented with ``-`` tags are
+    classified without conjugating the group or rebuilding it from elements."""
+    import pg4.group
+    from pg4.catalog import TUBICAL_FAMILIES, tubical_spec
+    from pg4.classify import classify
+    from pg4.constants import QI, QK
+    from pg4.transform import rotation
+    cases = [(sp, build(sp)) for fam in TUBICAL_FAMILIES.values()
+             for sp in (tubical_spec(fam.mirror_name, n) for n in range(fam.n_min, 9))]
+    swapped = [sp for sp in list_catalog(60) if sp.family.startswith("|/")]
+    cases += [(sp, conjugate(build(sp), rotation(QI, QK))) for sp in swapped]
+    assert swapped and all({r.tag for r in to_torus_rep(G)} == {"1", "-"}
+                           for sp, G in cases[-len(swapped):])
+    for fn in (pg4.group.conjugate, pg4.group.from_elements):
+        _forbid_everywhere(monkeypatch, fn)
+    for sp, G in cases:
+        assert classify(G) == sp, sp.spec_string()
+
+
 @pytest.mark.parametrize("text", [
     "tor://cm:m=2,n=1", "tor:X/c2mm:m=1,n=2", "tor:X/p2mm:m=3,n=2",
     "tor:\\/pg:m=3,n=2", "tor:L:a=0,b=0", "tor:.:m=0,n=3,s=0", "tor:*/p4mmS:n=0",
