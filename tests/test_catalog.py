@@ -244,6 +244,18 @@ def test_construction_order_pinned():
     assert not has_hyperplane_mirror(groups["+1/60[IxIb].21"])
 
 
+# sha256 of repr(list(G.elements)), one line per spec, for the toroidal
+# list_catalog(48) specs: the iteration order of the closure's element set
+TOROIDAL_ELEMENTS_SHA256 = "e89f94f552da020f3068c94ebaefcea08161d4c511a4026091cbcccde8f6a635"
+
+
+def test_toroidal_element_order_pinned():
+    import hashlib
+    specs = [sp for sp in list_catalog(48) if sp.kind == "toroidal"]
+    text = "\n".join(repr(list(build(sp).elements)) for sp in specs)
+    assert hashlib.sha256(text.encode()).hexdigest() == TOROIDAL_ELEMENTS_SHA256
+
+
 def test_cs_name_type1():
     assert cs_name_type1(parse_spec("tor:1:m=6,n=5,s=-2")) == "+-1/5[C15(4)xC5]"
     assert cs_name_type1(parse_spec("tor:1:m=3,n=5,s=-1")) == "+1/5[C15(9)xC5]"

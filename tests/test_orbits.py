@@ -249,6 +249,19 @@ def test_float_layer_pinned():
         assert hashlib.sha256(repr(classes).encode()).hexdigest() == want, cell_spec
 
 
+# sha256 of the stdout of: pg4 orbit "tor:1:m=3,n=5,s=1" --point 1,0,0,0
+TOROIDAL_ORBIT_STDOUT_SHA256 = "c0f6284fdcdeae7f6a9528805f23a36af37612f497be71a288f463d8884c8133"
+
+
+def test_toroidal_orbit_stdout_pinned():
+    import hashlib
+    import subprocess
+    import sys
+    out = subprocess.run([sys.executable, "-m", "pg4.cli", "orbit", "tor:1:m=3,n=5,s=1",
+                          "--point", "1,0,0,0"], capture_output=True, check=True).stdout
+    assert hashlib.sha256(out).hexdigest() == TOROIDAL_ORBIT_STDOUT_SHA256
+
+
 def _greedy_keep_first(points, tol):
     """The O(n^2) dedup of the per-element path: keep a point unless
     np.linalg.norm puts it closer than tol to a kept one."""
