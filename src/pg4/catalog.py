@@ -664,9 +664,8 @@ def build(spec: GroupSpec) -> PointGroup:
         raise ClosureCapExceeded(f"{spec.spec_string()} has order {expected}, "
                                  f"above the cap {group.DEFAULT_CAP}")
     G = build_unchecked(spec)
-    if len(G.elements) != expected:
-        raise SpecError(
-            f"{spec.spec_string()}: built order {len(G.elements)} != expected {expected}")
+    if len(G) != expected:
+        raise SpecError(f"{spec.spec_string()}: built order {len(G)} != expected {expected}")
     return G
 
 
@@ -785,10 +784,7 @@ def parse_spec(text: str) -> GroupSpec:
             raise ParseError(f"bad tubical spec {text!r}") from None
         if fam not in TUBICAL_FAMILIES and fam not in _TUBICAL_MIRROR:
             raise ParseError(f"unknown tubical family {fam!r}")
-        params = _parse_params(ps)
-        if "n" not in params:
-            raise ParseError("tubical spec needs n=")
-        return tubical_spec(fam, params["n"])
+        return tubical_spec(fam, _parse_params(ps, ("n",))["n"])
     if text.startswith("tor:"):
         m = _TOR_RE.match(text)
         if not m:
@@ -796,11 +792,7 @@ def parse_spec(text: str) -> GroupSpec:
         fam, ps = m.group(1), m.group(2)
         if fam not in TOROIDAL_FAMILIES:
             raise ParseError(f"unknown toroidal family {fam!r}")
-        params = _parse_params(ps)
-        missing = [k for k in TOROIDAL_FAMILIES[fam].param_names if k not in params]
-        if missing:
-            raise ParseError(f"missing parameters {missing} for {fam}")
-        return toroidal_spec(fam, **params)
+        return toroidal_spec(fam, **_parse_params(ps, TOROIDAL_FAMILIES[fam].param_names))
     if text.startswith("poly:"):
         name = text[5:]
         name = next((f.name for f in POLYHEDRAL_FAMILIES.values() if f.coxeter == name), name)
@@ -822,16 +814,25 @@ def parse_spec(text: str) -> GroupSpec:
     raise ParseError(f"unrecognized spec {text!r}")
 
 
-def _parse_params(ps: str) -> dict:
+_INT_RE = re.compile(r"[+-]?[0-9]+")
+
+
+def _parse_params(ps: str, names: tuple) -> dict:
+    """``name=INT`` items, comma-separated: each of ``names`` exactly once, and
+    nothing else; INT is an optional sign and ASCII digits."""
     params = {}
-    if not ps:
-        return params
-    for item in ps.split(","):
+    for item in ps.split(",") if ps else ():
         if "=" not in item:
             raise ParseError(f"bad parameter {item!r}")
-        k, v = item.split("=", 1)
-        try:
-            params[k.strip()] = int(v)
-        except ValueError:
-            raise ParseError(f"bad integer in {item!r}") from None
+        k, v = (x.strip() for x in item.split("=", 1))
+        if k not in names:
+            raise ParseError(f"unknown parameter {k!r}: expected {', '.join(names)}")
+        if k in params:
+            raise ParseError(f"parameter {k!r} given twice")
+        if not _INT_RE.fullmatch(v):
+            raise ParseError(f"bad integer in {item!r}")
+        params[k] = int(v)
+    missing = [k for k in names if k not in params]
+    if missing:
+        raise ParseError(f"missing parameters {missing}")
     return params

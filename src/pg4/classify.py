@@ -29,7 +29,7 @@ from .group import (
     QuatGroupType,
     classify_quat_group,
     equals,
-    left_right_groups,
+    left_right_types,
 )
 
 
@@ -46,9 +46,7 @@ class Category:
 
 
 def category(G: PointGroup) -> Category:
-    L, R = left_right_groups(G)
-    tl = classify_quat_group(L)
-    tr = classify_quat_group(R)
+    tl, tr = left_right_types(G)
     if tl.polyhedral and tr.polyhedral:
         return Category("polyhedral-or-axial", tl, tr)
     if tl.polyhedral:
@@ -82,7 +80,7 @@ def _classify_tubical(G: PointGroup, cat: Category) -> GroupSpec:
     for fam in TUBICAL_FAMILIES.values():
         if fam.left_type != ltype.kind or fam.l0 != l0tag:
             continue
-        n, rem = divmod(len(G.elements), fam.order_factor)
+        n, rem = divmod(len(G), fam.order_factor)
         if rem or n < fam.n_min:
             continue
         (rk, rmul), (r0k, r0mul) = fam.r_shape, fam.r0_shape
@@ -105,7 +103,7 @@ def _finite_catalog_by_order():
 
 def _classify_finite(G: PointGroup) -> GroupSpec:
     # no fingerprint prefilter: equal element sets have equal fingerprints
-    candidates = _finite_catalog_by_order().get(len(G.elements), [])
+    candidates = _finite_catalog_by_order().get(len(G), [])
     matches = [sp for sp in candidates if equals(build(sp), G)]
     if len(matches) == 1:
         return matches[0]

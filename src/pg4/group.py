@@ -3,7 +3,8 @@
 Groups are plain frozensets of canonical ``Transform4`` values; closure is a
 deterministic work-queue sweep.  Everything downstream (fingerprints, the
 Goursat construction, achiral extensions, left/right quaternion groups) works
-on that element set.
+on that element set.  A group closed from ``CycloQuat`` generators keeps its
+integer closure codes until its element set is first read.
 """
 
 from __future__ import annotations
@@ -41,12 +42,44 @@ class ClosureCapExceeded(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
 class PointGroup:
-    elements: frozenset
-    generators: tuple = ()
+    """A finite group: the frozenset ``elements`` and the ``generators`` tuple.
+
+    ``generate`` on CycloQuat generators returns an encoded group.  It keeps
+    the modulus D and the closure codes ``(star, k_l, b_l, k_r, b_r)`` in
+    discovery order (``cyclo_codes``), and builds ``elements`` from them on
+    first read, then drops them.  ``len``, ``==``, ``hash`` and the element
+    set do not depend on which form a group is in.
+    """
+
+    def __init__(self, elements: frozenset, generators: tuple = ()):
+        self._elements = elements
+        self.generators = generators
+        self._cyclo = None
+
+    @classmethod
+    def _encoded(cls, D: int, codes: list, generators: tuple) -> PointGroup:
+        G = cls(None, generators)
+        G._cyclo = (D, codes)
+        return G
+
+    @property
+    def elements(self) -> frozenset:
+        if self._elements is None:
+            els = _cyclo_elements(*self._cyclo)
+            self._cyclo = None
+            self._elements = frozenset(set(els))
+        return self._elements
+
+    @property
+    def cyclo_codes(self):
+        """``(D, codes)`` while the group is encoded, else None: the codes
+        mod 2D of ``_close_cyclo``, the identity's ``(0, 0, 0, 0, 0)`` first."""
+        return self._cyclo
 
     def __len__(self):
+        if self._cyclo is not None:
+            return len(self._cyclo[1])
         return len(self.elements)
 
     def __iter__(self):
@@ -54,6 +87,17 @@ class PointGroup:
 
     def __contains__(self, g):
         return g in self.elements
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.elements, self.generators) == (other.elements, other.generators)
+
+    def __hash__(self):
+        return hash((self.elements, self.generators))
+
+    def __repr__(self):
+        return f"PointGroup(elements={self.elements!r}, generators={self.generators!r})"
 
     @cached_property
     def float_columns(self):
@@ -78,14 +122,13 @@ def generate(gens, cap: int = DEFAULT_CAP) -> PointGroup:
     ``_close_cyclo`` when every generator component is a CycloQuat,
     ``_close_indexed`` otherwise.  Each ``Transform4`` is made once, in
     discovery order, so the element set and its iteration order are those of
-    the sweep on ``Transform4`` values.
+    the sweep on ``Transform4`` values.  The CycloQuat sweep returns an
+    encoded group, whose ``Transform4``s are made when ``elements`` is read.
     """
     gens = list(gens)
     if all(type(q) is CycloQuat for h in gens for q in (h.l, h.r)):
-        elements = _close_cyclo(gens, cap)
-    else:
-        elements = _close_indexed(gens, cap)
-    return PointGroup(frozenset(set(elements)), tuple(gens))
+        return PointGroup._encoded(*_close_cyclo(gens, cap), tuple(gens))
+    return PointGroup(frozenset(set(_close_indexed(gens, cap))), tuple(gens))
 
 
 class _Memo(dict):
@@ -101,8 +144,8 @@ class _Memo(dict):
         return value
 
 
-def _close_cyclo(gens: list, cap: int) -> list:
-    """The sweep for CycloQuat components, on ints mod 2D.
+def _close_cyclo(gens: list, cap: int) -> tuple:
+    """The sweep for CycloQuat components, on ints mod 2D: ``(D, codes)``.
 
     With D the lcm of the generators' angle denominators, exp(kπi/D)·j^b is
     (k mod 2D, b) and an element is (star, k_l, b_l, k_r, b_r).  Products
@@ -141,10 +184,15 @@ def _close_cyclo(gens: list, cap: int) -> list:
                     raise ClosureCapExceeded(f"not closed within cap {cap}")
                 seen.add(gh)
                 queue.append(gh)
+    return D, queue
+
+
+def _cyclo_elements(D: int, codes: list) -> list:
+    """The ``Transform4``s of ``_close_cyclo`` codes, in their order."""
     quat = [_Memo(partial(_cyc_make, den=D, jbit=b)) for b in (0, 1)]  # [b][k]
     canonical = Transform4.canonical
     return [IDENTITY] + [canonical(s == 1, quat[bl][kl], quat[br][kr])
-                         for s, kl, bl, kr, br in queue[1:]]
+                         for s, kl, bl, kr, br in codes[1:]]
 
 
 def _close_indexed(gens: list, cap: int) -> list:
@@ -201,7 +249,7 @@ def from_elements(elements, generators=()) -> PointGroup:
 
 
 def order(G: PointGroup) -> int:
-    return len(G.elements)
+    return len(G)
 
 
 def contains(G: PointGroup, g: Transform4) -> bool:
@@ -292,14 +340,32 @@ def left_right_groups(G: PointGroup):
     return frozenset(L), frozenset(R)
 
 
+def left_right_types(G: PointGroup) -> tuple:
+    """Types of the left and right quaternion groups of the chiral part.
+
+    An encoded group answers from its codes: ±exp(kπi/D)j^b are (k, b) and
+    (k + D mod 2D, b), so each group holds twice as many quaternions as there
+    are pairs (k mod D, b) among the rotations (k_l < D already)."""
+    if G.cyclo_codes is None:
+        L, R = left_right_groups(G)
+        return classify_quat_group(L), classify_quat_group(R)
+    D, codes = G.cyclo_codes
+    L = {(kl, bl) for s, kl, bl, kr, br in codes if not s}
+    R = {(kr % D, br) for s, kl, bl, kr, br in codes if not s}
+    return tuple(_cyclo_type(2 * len(S), any(b for _, b in S)) for S in (L, R))
+
+
+def _cyclo_type(n: int, dihedral: bool) -> QuatGroupType:
+    """The type of a group of n CycloQuats, dihedral if one has a j."""
+    return QuatGroupType("D", n // 4) if dihedral else QuatGroupType("C", n // 2)
+
+
 def classify_quat_group(S: frozenset) -> QuatGroupType:
     n = len(S)
     if MINUS_ONE not in S:
         raise ValueError("quaternion group must contain -1")
     if all(isinstance(q, CycloQuat) for q in S):
-        if any(q.jbit for q in S):
-            return QuatGroupType("D", n // 4)
-        return QuatGroupType("C", n // 2)
+        return _cyclo_type(n, any(q.jbit for q in S))
     els = list(S)
     if all(quat_mul(a, b) == quat_mul(b, a) for a in els for b in els):
         return QuatGroupType("C", n // 2)  # abelian subgroups of S^3 are cyclic

@@ -111,8 +111,13 @@ def torus_element(g: Transform4, den: int | None = None) -> TorusElement:
     # rotation angles in units of 2*pi, times den
     a = l.num * (den // (2 * l.den))
     b = r.num * (den // (2 * r.den))
+    return _torus_element(g.star, l.jbit, r.jbit, a, b, den)
+
+
+def _torus_element(star, jl: int, jr: int, a: int, b: int, den: int) -> TorusElement:
+    """The torus element of [exp(2πi a/den) j^jl, exp(2πi b/den) j^jr], reversing if star."""
     h = den // 2
-    tag = TAG_OF_BITS[(g.star, l.jbit, r.jbit)]
+    tag = TAG_OF_BITS[(star, jl, jr)]
     if tag == "1":
         t1, t2 = b - a, -a - b
     elif tag == ".":
@@ -133,7 +138,13 @@ def torus_element(g: Transform4, den: int | None = None) -> TorusElement:
 
 
 def to_torus_rep(G: PointGroup) -> list:
-    """Torus elements of G, all over one modulus: twice the lcm of its angle denominators."""
+    """Torus elements of G, all over one modulus: twice the lcm of its angle denominators.
+
+    An encoded group is read from its codes: the modulus is 2D, and the
+    angles exp(k_l πi/D), exp(k_r πi/D) are k_l/2D and k_r/2D turns."""
+    if G.cyclo_codes is not None:
+        D, codes = G.cyclo_codes
+        return [_torus_element(s == 1, bl, br, kl, kr, 2 * D) for s, kl, bl, kr, br in codes]
     # an element off the standard torus is rejected by torus_element
     den = 2 * lcm(*{q.den for g in G.elements for q in (g.l, g.r)
                     if isinstance(q, CycloQuat)})

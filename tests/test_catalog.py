@@ -308,7 +308,11 @@ def test_parse_spec_grammar():
         sp = parse_spec(text)
         assert isinstance(sp, GroupSpec)
     assert parse_spec("poly:[3,3,5]+") == polyhedral_spec("+-[IxI]")
-    for bad in ("tub:nope:n=1", "tor:Q:m=1", "poly:whatever", "axial:x:y", "garbage"):
+    assert parse_spec("tor:1: m = 2 ,n=+5,s=-1") == parse_spec("tor:1:m=2,n=5,s=-1")
+    for bad in ("tub:nope:n=1", "tor:Q:m=1", "poly:whatever", "axial:x:y", "garbage",
+                "tub:+-[IxC]:n=3,n=1", "tub:+-[IxC]:", "tub:+-[IxC]:m=3",
+                "tor:1:m=1,n=1,s=0,x=3", "tor:1:m=1,n=1", "tor:1:m=\u0663,n=1,s=0",
+                "tor:1:m=1_0,n=1,s=0", "tor:1:m=1,n=1,s"):
         with pytest.raises(ParseError):
             parse_spec(bad)
 

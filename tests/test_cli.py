@@ -78,6 +78,14 @@ def test_catalog_listing():
 def test_error_exit_codes():
     r = run("build", "tub:nope:n=3")
     assert r.returncode == 1 and r.stderr.startswith("error: build: ")
+    # a repeated or unknown parameter name, or a digit outside ASCII, does not parse
+    for text, message in (("tub:+-[IxC]:n=3,n=1", "parameter 'n' given twice"),
+                          ("tor:1:m=1,n=1,s=0,x=3", "unknown parameter 'x'"),
+                          ("tor:1:m=\u0663,n=1,s=0", "bad integer in 'm=\u0663'")):
+        r = run("build", text)
+        assert r.returncode == 1 and r.stdout == ""
+        assert r.stderr.startswith(f"error: build: {message}") and r.stderr.count("\n") == 1
+        assert "Traceback" not in r.stderr
     r = run("build", "tor:X/c2mm:m=1,n=5")
     assert r.returncode == 2 and r.stderr.startswith("error: build: ")
     assert "\n" not in r.stderr.strip()

@@ -1,6 +1,8 @@
+import json
 import random
 import re
 import sys
+from collections import Counter
 from fractions import Fraction as Fr
 from math import cos, lcm, pi, sin
 
@@ -21,7 +23,7 @@ from pg4.catalog import (
     spec_order,
     toroidal_spec,
 )
-from pg4.group import conjugate, equals, order
+from pg4.group import conjugate, equals, from_elements, generate, order
 from pg4.toroidal import (
     _DUPLICATION_RULES,
     _PARAM_CLASSES,
@@ -259,6 +261,78 @@ def test_classify_reads_only_the_group(monkeypatch):
         _forbid_everywhere(monkeypatch, fn)
     for sp, G in cases:
         assert classify(G) == sp, sp.spec_string()
+
+
+def test_classify_builds_no_transforms(monkeypatch, tmp_path):
+    """Toroidal round trips through the catalog door and the generator-file
+    door read only the closure codes: no ``Transform4`` is made after closure."""
+    import pg4.group
+    from pg4.classify import classify
+    from pg4.transform import transform_from_json, transform_to_json
+    rng = random.Random(1301)
+    specs = rng.sample([sp for sp in list_catalog(200) if sp.kind == "toroidal"], 60)
+    rows = duplication_rows(12)
+    path = tmp_path / "gens.jsonl"
+    path.write_text("\n".join(json.dumps(transform_to_json(g))
+                              for g in build_unchecked(rows[-1]).generators))
+    gens = [transform_from_json(json.loads(ln)) for ln in path.read_text().splitlines()]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a Transform4 was built")
+
+    monkeypatch.setattr(Transform4, "canonical", forbidden)
+    monkeypatch.setattr(pg4.group, "_cyc_make", forbidden)
+    for sp in specs:
+        assert classify(build(sp)) == sp, sp.spec_string()
+    assert classify(generate(gens)) == canonicalize_duplicates(rows[-1])
+
+
+def _read_both_ways(G):
+    """``to_torus_rep`` as a multiset, ``category`` with its side types, and
+    ``classify`` (or its refusal) of an encoded group, which must agree with
+    those of its element-backed copy; the encoded group stays encoded."""
+    from pg4.classify import ClassificationError, category, classify
+
+    def read(H):
+        reps = Counter((r.tag, r.u1, r.u2, r.den) for r in to_torus_rep(H))
+        cat = category(H)
+        try:
+            spec = classify(H)
+        except (ClassificationError, SpecError) as exc:
+            spec = (type(exc), str(exc))
+        return reps, (cat.tag, cat.left, cat.right), spec
+
+    assert G.cyclo_codes is not None
+    got = read(G)
+    assert G.cyclo_codes is not None
+    copy = from_elements(G.elements, G.generators)
+    assert G.cyclo_codes is None and copy == G and len(copy) == len(G)
+    assert read(copy) == got
+    return got
+
+
+def test_encoded_groups_match_element_path():
+    rng = random.Random(1302)
+    specs = [sp for sp in list_catalog(200) if sp.kind == "toroidal"]
+    for sp in rng.sample(specs, 150):
+        assert _read_both_ways(build(sp))[2] == sp, sp.spec_string()
+    for sp in duplication_rows(12):
+        G = generate(build_unchecked(sp).generators)
+        assert _read_both_ways(G)[2] == canonicalize_duplicates(sp), sp.spec_string()
+
+
+_SMALL_TOROIDAL = [sp for sp in list_catalog(72) if sp.kind == "toroidal"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_encoded_subgroups_match_element_path(data):
+    """Groups generated by random elements of catalog toroidal groups: any
+    subgroup, in or out of the catalog's standard position."""
+    G = build(data.draw(st.sampled_from(_SMALL_TOROIDAL)))
+    pool = sorted(G.elements, key=lambda g: g._hash)
+    gens = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+    _read_both_ways(generate(gens))
 
 
 @pytest.mark.parametrize("text", [
