@@ -327,8 +327,8 @@ _SMALL_TOROIDAL = [sp for sp in list_catalog(72) if sp.kind == "toroidal"]
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_encoded_subgroups_match_element_path(data):
-    """Groups generated by random elements of catalog toroidal groups: any
-    subgroup, in or out of the catalog's standard position."""
+    """Groups generated by 1-3 random elements of a catalog toroidal group,
+    which need not be catalog groups themselves."""
     G = build(data.draw(st.sampled_from(_SMALL_TOROIDAL)))
     pool = sorted(G.elements, key=lambda g: g._hash)
     gens = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
