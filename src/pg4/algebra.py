@@ -278,27 +278,20 @@ def _angle_t(x) -> Fraction:
 
 
 class AlgQuat:
-    """Unit quaternion w + x i + y j + z k with FieldElem coordinates."""
+    """Unit quaternion w + x i + y j + z k with FieldElem coordinates.
+
+    Instances are interned on the 20 integers of the four reduced
+    coordinates, so equal values are one object and ``==`` is identity.
+    ``hash(q) == hash((1, hash(w), hash(x), hash(y), hash(z)))``.
+    """
 
     __slots__ = ("w", "x", "y", "z", "_hash", "_negq")
 
-    def __init__(self, w, x, y, z):
-        self.w = _coerce(w)
-        self.x = _coerce(x)
-        self.y = _coerce(y)
-        self.z = _coerce(z)
-        self._hash = hash((1, hash(self.w), hash(self.x), hash(self.y), hash(self.z)))
-        self._negq = None
+    def __new__(cls, w, x, y, z):
+        return _alg(_coerce(w), _coerce(x), _coerce(y), _coerce(z))
 
     def __hash__(self):
         return self._hash
-
-    def __eq__(self, other):
-        return self is other or (
-            type(other) is AlgQuat and self._hash == other._hash
-            and self.w == other.w and self.x == other.x
-            and self.y == other.y and self.z == other.z
-        )
 
     def norm2(self) -> FieldElem:
         return self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
@@ -310,22 +303,39 @@ class AlgQuat:
         return f"AlgQuat({self.w},{self.x},{self.y},{self.z})"
 
 
+_ALG_CACHE: dict = {}
+
+
+def _alg(w: FieldElem, x: FieldElem, y: FieldElem, z: FieldElem) -> AlgQuat:
+    """Interned AlgQuat from reduced FieldElem coordinates."""
+    key = (w.A, w.B, w.C, w.D, w.den, x.A, x.B, x.C, x.D, x.den,
+           y.A, y.B, y.C, y.D, y.den, z.A, z.B, z.C, z.D, z.den)
+    q = _ALG_CACHE.get(key)
+    if q is None:
+        q = object.__new__(AlgQuat)
+        q.w = w
+        q.x = x
+        q.y = y
+        q.z = z
+        q._hash = hash((1, hash(w), hash(x), hash(y), hash(z)))
+        q._negq = None
+        _ALG_CACHE[key] = q
+    return q
+
+
 class CycloQuat:
     """exp(t*pi*i) if jbit is 0, else exp(t*pi*i)*j; t rational in [0, 2).
 
     Instances are interned on the reduced (numerator, denominator, jbit)
-    triple; the angle is stored as plain integers for speed.
+    triple, so ``==`` is identity; the angle is stored as plain integers for
+    speed.  ``hash(q) == hash((0, num, den, jbit))``.
     """
 
     __slots__ = ("num", "den", "jbit", "_hash", "_neg")
 
-    def __init__(self, t, jbit: int = 0):
+    def __new__(cls, t, jbit: int = 0):
         t = Fraction(t) % 2
-        self.num = t.numerator
-        self.den = t.denominator
-        self.jbit = 1 if jbit else 0
-        self._hash = hash((0, self.num, self.den, self.jbit))
-        self._neg = None
+        return _cyc(t.numerator, t.denominator, 1 if jbit else 0)
 
     @property
     def t(self) -> Fraction:
@@ -333,10 +343,6 @@ class CycloQuat:
 
     def __hash__(self):
         return self._hash
-
-    def __eq__(self, other):
-        return (isinstance(other, CycloQuat) and self.num == other.num
-                and self.den == other.den and self.jbit == other.jbit)
 
     def __repr__(self):
         return f"CycloQuat({self.num}/{self.den},j={self.jbit})"
@@ -350,7 +356,7 @@ def _cyc(num: int, den: int, jbit: int) -> CycloQuat:
     key = (num, den, jbit)
     q = _CYC_CACHE.get(key)
     if q is None:
-        q = CycloQuat.__new__(CycloQuat)
+        q = object.__new__(CycloQuat)
         q.num = num
         q.den = den
         q.jbit = jbit
@@ -469,7 +475,7 @@ def quat_neg(a: Quat) -> Quat:
             q = _cyc_make(a.num + a.den, a.den, a.jbit)
             a._neg = q
         return q
-    q = getattr(a, "_negq", None)
+    q = a._negq
     if q is None:
         q = AlgQuat(-a.w, -a.x, -a.y, -a.z)
         a._negq = q

@@ -2,13 +2,15 @@
 
 Subcommands: build, fingerprint, classify, count, orbit, cell, catalog.
 JSON goes to stdout (schema pg4/1), meshes to --out files.  Exit codes:
-0 success, 1 parse error, 2 domain error.
+0 success, 1 parse error, 2 domain error, 141 (128 + SIGPIPE) when the
+reader closes stdout early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import catalog
@@ -183,9 +185,15 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
     except ParseError as exc:
         sys.stderr.write(f"error: {args.cmd}: {exc}\n")
         return 1
+    except BrokenPipeError:
+        # the reader has gone (``| head``); send what is still buffered to
+        # devnull, so the flush at interpreter exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {args.cmd}: {exc}\n")
         return 2

@@ -17,6 +17,7 @@ from math import lcm
 from .algebra import (
     CycloQuat,
     _cyc_make,
+    product_angle,
     quat_conj,
     quat_float4,
     quat_key,
@@ -24,15 +25,16 @@ from .algebra import (
     quat_neg,
     quat_order,
     quat_sign_flip,
+    unsigned_angle,
     ONE,
     MINUS_ONE,
 )
 from .transform import (
     IDENTITY,
     Transform4,
+    code_from_angles,
     compose,
     conjugate_elem,
-    element_code,
 )
 
 DEFAULT_CAP = 2_000_000
@@ -106,9 +108,10 @@ class PointGroup:
         import numpy as np
 
         els = list(self.elements)
+        f4 = _Memo(quat_float4)  # once per distinct quaternion
         star = np.array([g.star for g in els], dtype=bool)
-        L = np.array([quat_float4(g.l) for g in els], dtype=float).T.copy()
-        R = np.array([quat_float4(g.r) for g in els], dtype=float).T.copy()
+        L = np.array([f4[g.l] for g in els], dtype=float).T.copy()
+        R = np.array([f4[g.r] for g in els], dtype=float).T.copy()
         for a in (star, L, R):
             a.flags.writeable = False  # shared by every caller
         return star, L, R
@@ -398,7 +401,30 @@ class Fingerprint:
 
 
 def fingerprint(G: PointGroup) -> Fingerprint:
-    counts = Counter(element_code(g) for g in G.elements)
+    """Count the elements of G by the angles their codes are made from.
+
+    One pass over ``G.elements``.  An angle gets an index on first sight; a
+    rotation [l, r] counts under (index of l's angle, index of r's angle),
+    with each quaternion's angle looked up once per call, and a reversing
+    *[l, r] under the index of the angle of r·l.  Each distinct key then
+    becomes its ``ElementCode`` (``code_from_angles``), and keys that give
+    the same code are merged.
+    """
+    angle_index = _Memo(lambda u: len(angle_index))  # the next index on first sight
+    quat_index = _Memo(lambda q: angle_index[unsigned_angle(q)])
+    keys = Counter()
+    for g in G.elements:
+        if g.star:
+            keys[angle_index[product_angle(g.r, g.l)]] += 1
+        else:
+            keys[quat_index[g.l], quat_index[g.r]] += 1
+    angles = list(angle_index)
+    counts = Counter()
+    for key, m in keys.items():
+        if type(key) is int:
+            counts[code_from_angles(True, angles[key])] += m
+        else:
+            counts[code_from_angles(False, angles[key[0]], angles[key[1]])] += m
     items = sorted(((code, 2 * m) for code, m in counts.items()),
                    key=lambda cm: cm[0].sort_key())
     return Fingerprint(tuple(items))

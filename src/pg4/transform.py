@@ -60,9 +60,10 @@ class Transform4:
         return self._hash
 
     def __eq__(self, other):
+        # quaternions are interned, so equal components are one object
         return (
             isinstance(other, Transform4)
-            and self.star == other.star and self.l == other.l and self.r == other.r
+            and self.star == other.star and self.l is other.l and self.r is other.r
         )
 
     def is_unit(self) -> bool:
@@ -179,16 +180,21 @@ def _frac_str(f: Fraction) -> str:
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
-def element_code(g: Transform4) -> ElementCode:
-    if g.star:
-        u = product_angle(g.r, g.l)
-        return ElementCode(True, min(u, 1 - u))
-    a = unsigned_angle(g.l)
-    b = unsigned_angle(g.r)
+def code_from_angles(reversing: bool, a: Fraction, b: Fraction = Fraction(0)) -> ElementCode:
+    """The code of a rotation [l, r] with unsigned angles a of l and b of r,
+    or of a reversing element *[l, r] with a the unsigned angle of r·l."""
+    if reversing:
+        return ElementCode(True, min(a, 1 - a))
     # (l, r) and (-l, -r) give (a, b) and (1-a, 1-b)
     if not (a < b or (a == b and a <= Fraction(1, 2))):
         a, b = 1 - a, 1 - b
     return ElementCode(False, a, b)
+
+
+def element_code(g: Transform4) -> ElementCode:
+    if g.star:
+        return code_from_angles(True, product_angle(g.r, g.l))
+    return code_from_angles(False, unsigned_angle(g.l), unsigned_angle(g.r))
 
 
 def transform_to_json(g: Transform4):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pg4.algebra import (
+    AlgQuat,
     AngleFraction,
     CycloQuat,
     FieldElem,
@@ -30,7 +31,7 @@ from pg4.algebra import (
     quat_real,
     quat_to_json,
 )
-from pg4.constants import I_I, I_O, OMEGA
+from pg4.constants import I_I, I_O, OMEGA, OMEGA_BAR
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 field_elems = st.builds(FieldElem, rationals, rationals, rationals, rationals)
@@ -178,3 +179,40 @@ def test_angle_fraction_mod_two():
 def test_json_round_trip():
     for q in (OMEGA, I_I, exp_i(Fr(3, 7)), CycloQuat(Fr(1, 6), 1)):
         assert quat_from_json(quat_to_json(q)) == q
+
+
+def test_quaternions_are_interned():
+    from pg4 import algebra
+    h = Fr(1, 2)
+    q = AlgQuat(-h, h, h, h)
+    assert q is OMEGA and q == OMEGA
+    assert AlgQuat(FieldElem(-h), HALF, FieldElem(h), h) is q
+    assert quat(-HALF, HALF, HALF, HALF) is q
+    assert quat_neg(q) is AlgQuat(h, -h, -h, -h) and quat_neg(quat_neg(q)) is q
+    assert quat_conj(q) is OMEGA_BAR and quat_conj(OMEGA_BAR) is q
+    algebra._ALG_MUL_CACHE.pop((q, q), None)
+    assert algebra._alg_mul(q, q) is OMEGA_BAR  # ω² = ω̄, made afresh
+    assert quat_from_json(quat_to_json(q)) is q
+    j = AlgQuat(0, 0, 1, 0)
+    assert AlgQuat(Fr(0), FieldElem(0), Fr(1), 0) is j
+    assert algebra._promote(J) is j and j is not J and j != J
+    # CycloQuats: every constructor shares the closure's objects
+    assert CycloQuat(Fr(5, 2)) is algebra._cyc_make(1, 2, 0) is I
+    assert CycloQuat(Fr(1, 2), 1) is K and CycloQuat(Fr(-3, 2), 7) is K
+    assert quat(0, 1, 0, 0) is I and quat(0, 0, 0, -1) is quat_neg(K)
+    assert quat_from_json(quat_to_json(K)) is K
+    assert quat_mul(I, J) is K and quat_neg(MINUS_ONE) is ONE
+
+
+def test_quaternion_hash_rules():
+    """Frozenset iteration order, and with it every pinned element, orbit and
+    mesh order, depends on these hashes."""
+    for q in (OMEGA, I_I, quat_neg(I_I), AlgQuat(0, 0, 1, 0)):
+        assert type(q) is AlgQuat
+        assert hash(q) == hash((1, hash(q.w), hash(q.x), hash(q.y), hash(q.z)))
+        for c in q.coords():
+            assert hash(c) == hash((c.a, c.b, c.c, c.d))
+    for q in (ONE, MINUS_ONE, I, J, K, I_O, exp_i(Fr(3, 7)), CycloQuat(Fr(1, 6), 1)):
+        assert hash(q) == hash((0, q.num, q.den, q.jbit))
+    assert hash(ONE) == hash((0, 0, 1, 0))
+    assert hash(CycloQuat(Fr(7, 5), 1)) == hash((0, 7, 5, 1))

@@ -212,3 +212,15 @@ def test_public_names_unchanged():
     assert set(_PUBLIC_NAMES) <= set(namespace)
     with pytest.raises(AttributeError):
         pg4.no_such_name
+
+
+def test_closed_stdout_exits_quietly():
+    """``pg4 orbit … | head -1``: the reader closes the pipe after one line."""
+    p = subprocess.Popen([sys.executable, "-m", "pg4.cli", "orbit", "tor:1:m=30,n=50,s=1",
+                          "--point", "1,0,0,0"],
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    line = p.stdout.readline()
+    p.stdout.close()
+    err = p.stderr.read()
+    assert p.wait(timeout=60) == 141
+    assert err == "" and len(json.loads(line)["point"]) == 4

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction as Fr
 
 import pytest
@@ -10,6 +11,7 @@ from pg4.constants import (
     ONE,
     QI,
     QJ,
+    QK,
     e_n,
     quaternion_Q8,
     two_C,
@@ -34,8 +36,19 @@ from pg4.group import (
     left_right_groups,
     order,
 )
-from pg4.transform import IDENTITY, Transform4, reflection, rotation
-from pg4.catalog import build, parse_spec, polyhedral_spec, tubical_spec
+from pg4.transform import IDENTITY, Transform4, element_code, reflection, rotation
+from pg4.catalog import (
+    AXIAL_FAMILIES,
+    POLYHEDRAL_ORDERS,
+    GroupSpec,
+    build,
+    build_unchecked,
+    list_catalog,
+    parse_spec,
+    polyhedral_spec,
+    tubical_spec,
+)
+from pg4.toroidal import duplication_rows
 
 
 def test_quaternion_group_orders():
@@ -160,3 +173,40 @@ def test_fingerprint_conjugation_invariance():
     for _ in range(20):
         h = rotation(random.choice(pool), random.choice(pool))
         assert fingerprint(conjugate(G, h)).counts == fingerprint(G).counts
+
+
+def _element_code_census(G):
+    """The fingerprint counts from ``element_code`` of every element."""
+    counts = Counter(element_code(g) for g in G.elements)
+    return tuple(sorted(((code, 2 * m) for code, m in counts.items()),
+                        key=lambda cm: cm[0].sort_key()))
+
+
+def test_fingerprint_matches_element_codes():
+    finite = ([polyhedral_spec(name) for name in POLYHEDRAL_ORDERS]
+              + [GroupSpec("axial", fam) for fam in AXIAL_FAMILIES])
+    assert len(finite) == 46
+    specs = [sp for sp in list_catalog(200) if sp.kind in ("toroidal", "tubical")]
+    groups = [build(sp) for sp in finite + random.Random(1401).sample(specs, 150)]
+    groups += [generate(build_unchecked(sp).generators) for sp in duplication_rows(12)]
+    h = rotation(QI, QK)
+    for G in groups + [conjugate(G, h) for G in groups]:
+        assert fingerprint(G).counts == _element_code_census(G)
+
+
+def test_fingerprint_reads_each_quaternion_angle_once(monkeypatch):
+    import pg4.group
+    import pg4.transform
+    from pg4.algebra import unsigned_angle
+    calls = Counter()
+
+    def counted(q):
+        calls[q] += 1
+        return unsigned_angle(q)
+
+    G = build(parse_spec("poly:+-[IxI].2"))
+    quats = {q for g in G.elements if not g.star for q in (g.l, g.r)}
+    monkeypatch.setattr(pg4.group, "unsigned_angle", counted, raising=False)
+    monkeypatch.setattr(pg4.transform, "unsigned_angle", counted)
+    fingerprint(G)
+    assert set(calls) <= quats and max(calls.values()) == 1
