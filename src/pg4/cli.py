@@ -107,13 +107,16 @@ def _cmd_orbit(args):
 
 
 def _cmd_cell(args):
+    import numpy as np
+
     from .orbits import export_mesh, orbit, polar_cell
 
     spec = parse_spec(args.spec)
     G = build(spec)
     v = _resolve_start(args, spec)
     orb = orbit(G, v)
-    mesh = polar_cell(orb, orb.points[_closest_index(orb, v)])
+    pts = orb.array()
+    mesh = polar_cell(orb, pts[int(np.argmin(((pts - v) ** 2).sum(axis=1)))])
     data = export_mesh(mesh, args.format)
     if args.out:
         with open(args.out, "wb") as fh:
@@ -124,13 +127,6 @@ def _cmd_cell(args):
         sys.stdout.buffer.write(data)
 
 
-def _closest_index(orb, v):
-    import numpy as np
-
-    pts = orb.array()
-    return int(np.argmin(((pts - v) ** 2).sum(axis=1)))
-
-
 def _cmd_catalog(args):
     for sp in list_catalog(args.max_order):
         row = {"spec": sp.spec_string(), "order": spec_order(sp)}
@@ -139,6 +135,12 @@ def _cmd_catalog(args):
         if sp.kind == "polyhedral":
             row["coxeter"] = catalog.POLYHEDRAL_FAMILIES[sp.family].coxeter
         _emit(row)
+
+
+def _start_options(p):
+    start = p.add_mutually_exclusive_group()
+    start.add_argument("--point")
+    start.add_argument("--center")
 
 
 def main(argv=None) -> int:
@@ -165,14 +167,12 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("orbit", help="orbit of a point, one JSON object per line")
     p.add_argument("spec")
-    p.add_argument("--point")
-    p.add_argument("--center")
+    _start_options(p)
     p.set_defaults(func=_cmd_orbit)
 
     p = sub.add_parser("cell", help="polar orbit polytope cell as OFF/OBJ")
     p.add_argument("spec")
-    p.add_argument("--point")
-    p.add_argument("--center")
+    _start_options(p)
     p.add_argument("--format", choices=["off", "obj"], default="off")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_cell)

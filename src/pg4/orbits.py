@@ -27,16 +27,76 @@ GOLDEN = (1 + sqrt(5)) / 2
 GENERIC_START = np.array([0.9, 0.31, 0.23, 0.17]) / np.linalg.norm([0.9, 0.31, 0.23, 0.17])
 
 
-@dataclass(frozen=True)
 class Orbit:
-    base: tuple
-    points: tuple  # of 4-vectors (tuples)
+    """The start point ``base`` and its distinct images under a group.
+
+    An orbit keeps its points as an (N, 4) float array; ``points``, the same
+    rows as a tuple of 4-tuples of ``np.float64``, is built from it on first
+    read.  ``base`` is read-only, and two orbits are equal when their bases
+    and points are.
+    """
+
+    __slots__ = ("_base", "_rows", "_points")
+
+    def __init__(self, base: tuple, points):
+        self._base = base
+        self._rows = np.array(points, dtype=float)
+        self._points = None
+
+    @property
+    def base(self) -> tuple:
+        return self._base
+
+    @property
+    def points(self) -> tuple:
+        if self._points is None:
+            self._points = tuple(map(tuple, self._rows))
+        return self._points
 
     def array(self) -> np.ndarray:
-        return np.array(self.points)
+        """A fresh (N, 4) array of the points."""
+        return self._rows.copy()
 
     def __len__(self):
-        return len(self.points)
+        return len(self._rows)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.base, self.points) == (other.base, other.points)
+
+    def __hash__(self):
+        return hash((self.base, self.points))
+
+    def __repr__(self):
+        return f"Orbit(base={self.base!r}, points={self.points!r})"
+
+
+# a fixed generic direction, cut to the dimension of the rows to sweep
+_SWEEP = np.sqrt([2.0, 3.0, 5.0, 7.0])
+
+
+def _close_candidates(points: np.ndarray, r: float) -> tuple:
+    """Index pairs (earlier, later) that include every pair closer than r.
+
+    Projections onto a unit vector are no further apart than the points, so
+    a sort-and-sweep along a fixed generic direction finds them: it takes the
+    neighbours k places apart in projection order whose projections differ
+    by at most r, for k = 1, 2, ... up to the first k with none.
+    """
+    d = _SWEEP[:points.shape[1]]
+    proj = points @ (d / np.linalg.norm(d))
+    order = np.argsort(proj)
+    proj = proj[order]
+    firsts, seconds = [order[:0]], [order[:0]]
+    for k in range(1, len(points)):
+        hit = np.flatnonzero(proj[k:] - proj[:-k] <= r)
+        if not len(hit):
+            break
+        firsts.append(order[hit])
+        seconds.append(order[hit + k])
+    a, b = np.concatenate(firsts), np.concatenate(seconds)
+    return np.minimum(a, b), np.maximum(a, b)
 
 
 def _dedup(points: np.ndarray, tol: float) -> np.ndarray:
@@ -44,15 +104,15 @@ def _dedup(points: np.ndarray, tol: float) -> np.ndarray:
 
     Row j is dropped when ``np.linalg.norm`` puts it closer than ``tol`` to an
     earlier kept row.  A row bitwise equal to an earlier one shares its fate,
-    so only the first copies go on.  A kd-tree finds their candidate pairs at
-    twice the tolerance, and the rule runs over the close pairs in order of
-    the later row, when the earlier row's fate is already known.
+    so only the first copies go on.  A sort-and-sweep finds their candidate
+    pairs at twice the tolerance, and the rule runs over the close pairs in
+    order of the later row, when the earlier row's fate is already known.
     """
     points = np.ascontiguousarray(points, dtype=float)
     rows = points.view(np.dtype((np.void, points.itemsize * points.shape[1]))).ravel()
     first = np.sort(np.unique(rows, return_index=True)[1])
     points = points[first]
-    earlier, later = cKDTree(points).query_pairs(2 * tol, output_type="ndarray").T
+    earlier, later = _close_candidates(points, 2 * tol)
     diff = points[later] - points[earlier]
     dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
     # the norm of one vector may differ in the last bits: recompute it near tol
@@ -81,8 +141,7 @@ def unit_vector(v) -> np.ndarray:
 def orbit(G: PointGroup, v) -> Orbit:
     v = unit_vector(v)
     pts = apply_columns(*G.float_columns, v)
-    pts = pts[_dedup(pts, 1e-7)]
-    return Orbit(tuple(v), tuple(tuple(p) for p in pts))
+    return Orbit(tuple(v), pts[_dedup(pts, 1e-7)])
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +341,7 @@ def polar_cell(orb: Orbit, at) -> Mesh:
     verts = hs.intersections[_dedup(hs.intersections, 1e-9)]
     faces = []
     for i in range(len(A)):
-        tight = [k for k, v in enumerate(verts) if abs(np.dot(A[i], v) - bvec[i]) < 1e-6]
+        tight = np.flatnonzero(np.abs(verts @ A[i] - bvec[i]) < 1e-6).tolist()
         if len(tight) >= 3:
             faces.append(_order_face(verts, tight, A[i]))
     mesh = Mesh(tuple(tuple(v) for v in verts), tuple(faces))
@@ -374,13 +433,33 @@ def export_mesh(mesh: Mesh, fmt: str = "OFF") -> bytes:
 
 
 def parse_off(data: bytes) -> Mesh:
-    lines = [ln for ln in data.decode().splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != "OFF":
+    """The mesh of an OFF file; a ValueError when the file is not a whole one."""
+    lines = [ln.split() for ln in data.decode().splitlines() if ln.strip()]
+    if not lines or lines[0] != ["OFF"]:
         raise ValueError("not an OFF mesh: missing OFF header")
-    V, F, _ = (int(x) for x in lines[1].split())
-    verts = tuple(tuple(float(c) for c in lines[2 + i].split()) for i in range(V))
+    counts = lines[1] if len(lines) > 1 else []
+    if len(counts) != 3 or not all(c.isdigit() for c in counts):
+        raise ValueError(f"OFF: line 2 is {' '.join(counts)!r}, not three counts V F E")
+    V, F = int(counts[0]), int(counts[1])
+    if len(lines) < 2 + V + F:
+        raise ValueError(f"OFF: truncated: {V} vertices and {F} faces need "
+                         f"{2 + V + F} lines, found {len(lines)}")
+    verts = []
+    for i, parts in enumerate(lines[2:2 + V]):
+        if len(parts) != 3:
+            raise ValueError(f"OFF: vertex {i} has {len(parts)} coordinates, not 3")
+        verts.append(tuple(float(c) for c in parts))
     faces = []
-    for i in range(F):
-        parts = lines[2 + V + i].split()
-        faces.append(tuple(int(x) for x in parts[1:1 + int(parts[0])]))
-    return Mesh(verts, tuple(faces))
+    for i, parts in enumerate(lines[2 + V:2 + V + F]):
+        if not parts[0].isdigit():
+            raise ValueError(f"OFF: face {i} ({' '.join(parts)!r}) does not start with "
+                             "its length")
+        # indices may be followed by a colour
+        if len(parts) < 1 + int(parts[0]):
+            raise ValueError(f"OFF: face {i} ({' '.join(parts)!r}) lists fewer indices "
+                             "than its length")
+        face = tuple(int(x) for x in parts[1:1 + int(parts[0])])
+        if any(not 0 <= k < V for k in face):
+            raise ValueError(f"OFF: face {i} has a vertex index outside 0..{V - 1}")
+        faces.append(face)
+    return Mesh(tuple(verts), tuple(faces))

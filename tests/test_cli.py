@@ -96,6 +96,11 @@ def test_error_exit_codes():
     r = run("orbit", "tor:1:m=3,n=5,s=1", "--center", "cyclic")
     assert r.returncode == 2 and r.stderr.startswith("error: orbit: tor:1:m=3,n=5,s=1 ")
     assert r.stderr.count("\n") == 1 and "Traceback" not in r.stderr
+    # --point and --center name the start twice: a usage error, before any build
+    for cmd in ("orbit", "cell"):
+        r = run(cmd, "poly:+-[TxT]", "--point", "1,0,0,0", "--center", "cyclic")
+        assert r.returncode == 2 and r.stdout == "" and "Traceback" not in r.stderr
+        assert r.stderr.startswith("usage: pg4 ") and "not allowed with argument" in r.stderr
 
 
 _IDENTITY = {"cyc": {"t": "0", "j": False}}

@@ -203,6 +203,26 @@ def test_parse_off_rejects_other_formats():
             parse_off(data)
 
 
+_TRIANGLE = b"OFF\n3 1 3\n0 0 0\n1 0 0\n0 1 0\n"
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"OFF\n3 1 3\n0 0 0\n", "truncated"),
+    (_TRIANGLE + b"3 0 1 3\n", "vertex index outside 0..2"),
+    (_TRIANGLE + b"4 0 1 2\n", "fewer indices than its length"),
+    (_TRIANGLE + b"x 0 1 2\n", "does not start with its length"),
+    (b"OFF\n3 x 3\n", "not three counts"),
+    (b"OFF\n3 1\n", "not three counts"),
+    (b"OFF\n", "not three counts"),
+    (b"OFF\n1 0 0\n0 0\n", "vertex 0 has 2 coordinates, not 3"),
+], ids=["truncated", "index-past-count", "short-face", "face-length-not-int",
+        "counts-not-int", "two-counts", "no-counts", "two-coordinates"])
+def test_parse_off_refuses_bad_input(data, message):
+    assert parse_off(_TRIANGLE + b"3 0 1 2\n").faces == ((0, 1, 2),)
+    with pytest.raises(ValueError, match=message):
+        parse_off(data)
+
+
 # sha256 of the OFF bytes of the scripts/export_cells.py cases
 EXPORT_CELL_OFF_SHA256 = {
     ("+-[IxC]", 1, "5-fold"): "300c6b2e8bf5ce96930383ecb5c5e9d6b6100a033bbd8ebcdff11f582fab7b39",
@@ -297,6 +317,27 @@ def test_orbit_matches_per_element_path(text, v):
     assert orbit(G, v).points == want
 
 
+def test_orbit_points_are_lazy_and_unchanged():
+    from pg4.orbits import Orbit, _dedup, unit_vector
+    G = ORACLE_GROUPS["poly:+-[TxT].2"]
+    pts = apply_columns(*G.float_columns, unit_vector(GENERIC_START))
+    old = tuple(tuple(p) for p in pts[_dedup(pts, 1e-7)])
+    orb = orbit(G, GENERIC_START)
+    assert len(orb) == len(old) == len(G) and orb._points is None
+    assert orb.points == old and orb.points is orb.points
+    assert all(type(c) is np.float64 for p in orb.points for c in p)
+    a = orb.array()
+    assert a.flags.writeable and a.tobytes() == np.array(old).tobytes()
+    a[:] = 0
+    assert not np.shares_memory(a, orb.array()) and orb.array().tobytes() == np.array(old).tobytes()
+    again = Orbit(orb.base, old)
+    assert again == orb and len(again) == len(orb) and hash(again) == hash(orb)
+    assert again.array().tobytes() == np.array(old).tobytes()
+    assert again != Orbit(orb.base, old[1:])
+    with pytest.raises(AttributeError):
+        orb.base = old[1]
+
+
 def test_float_columns_built_once_in_element_order():
     from pg4.algebra import quat_float4
     G = ORACLE_GROUPS["poly:+-[TxT].2"]
@@ -310,7 +351,7 @@ def test_float_columns_built_once_in_element_order():
 
 @pytest.mark.parametrize("tol, dim", [(1e-7, 4), (1e-9, 3)])
 def test_dedup_keeps_first_with_strict_tolerance(tol, dim):
-    from pg4.orbits import _dedup
+    from pg4.orbits import _SWEEP, _dedup
     e = np.eye(dim)
     a, b = 0.3 * np.ones(dim), -0.2 * np.ones(dim)
     # a later near-copy goes, whichever copy comes first; exact copies go too
@@ -328,6 +369,16 @@ def test_dedup_keeps_first_with_strict_tolerance(tol, dim):
     pts = centers[rng.integers(0, 6, 200)] + rng.uniform(-tol, tol, (200, dim))
     want = _greedy_keep_first(list(pts), tol)
     assert np.array_equal(pts[_dedup(pts, tol)], np.array(want))
+    # the sweep's worst case: every projection on its direction ties
+    d = _SWEEP[:dim] / np.linalg.norm(_SWEEP[:dim])
+    flat = pts - np.outer(pts @ d, d)
+    assert np.abs(flat @ d).max() < tol
+    want = _greedy_keep_first(list(flat), tol)
+    assert np.array_equal(flat[_dedup(flat, tol)], np.array(want))
+    # rows a little under and a little over 2 tol apart along the direction stay
+    for step in (1.999 * tol, 2.001 * tol):
+        line = np.outer(step * np.arange(50), d) + 0.3
+        assert _dedup(line, tol).tolist() == list(range(50))
 
 
 def test_color_orbits_rejects_open_point_set():
