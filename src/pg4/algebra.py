@@ -285,7 +285,7 @@ class AlgQuat:
     ``hash(q) == hash((1, hash(w), hash(x), hash(y), hash(z)))``.
     """
 
-    __slots__ = ("w", "x", "y", "z", "_hash", "_negq")
+    __slots__ = ("w", "x", "y", "z", "_hash", "_negq", "_order")
 
     def __new__(cls, w, x, y, z):
         return _alg(_coerce(w), _coerce(x), _coerce(y), _coerce(z))
@@ -319,6 +319,7 @@ def _alg(w: FieldElem, x: FieldElem, y: FieldElem, z: FieldElem) -> AlgQuat:
         q.z = z
         q._hash = hash((1, hash(w), hash(x), hash(y), hash(z)))
         q._negq = None
+        q._order = None
         _ALG_CACHE[key] = q
     return q
 
@@ -331,7 +332,7 @@ class CycloQuat:
     speed.  ``hash(q) == hash((0, num, den, jbit))``.
     """
 
-    __slots__ = ("num", "den", "jbit", "_hash", "_neg")
+    __slots__ = ("num", "den", "jbit", "_hash", "_neg", "_order")
 
     def __new__(cls, t, jbit: int = 0):
         t = Fraction(t) % 2
@@ -362,6 +363,7 @@ def _cyc(num: int, den: int, jbit: int) -> CycloQuat:
         q.jbit = jbit
         q._hash = hash((0, num, den, jbit))
         q._neg = None
+        q._order = None
         _CYC_CACHE[key] = q
     return q
 
@@ -574,11 +576,19 @@ def product_angle(a: Quat, b: Quat) -> Fraction:
 
 
 def quat_order(q: Quat) -> int:
-    """Multiplicative order of a catalog quaternion."""
-    a = angle_of(q).t
+    """Multiplicative order of a catalog quaternion; computed on the first
+    call and kept on the interned quaternion."""
+    k = q._order
+    if k is None:
+        k = q._order = _quat_order(q)
+    return k
+
+
+def _quat_order(q: Quat) -> int:
+    a = unsigned_angle(q)
     if a == 0:
         return 1
-    if isinstance(q, CycloQuat) and q.jbit:
+    if type(q) is CycloQuat and q.jbit:
         return 4
     # q = exp(a*pi*u): order is the least k with k*a ≡ 0 (mod 2)
     k = 2 * a.denominator

@@ -211,12 +211,18 @@ def right_variant(spec: GroupSpec) -> GroupSpec:
     return tubical_spec(_TUBICAL_MIRROR[spec.family], spec.param("n"))
 
 
-def _build_tubical(spec: GroupSpec) -> PointGroup:
+def tubical_generators(spec: GroupSpec) -> list:
+    """The generators of a tubical spec; a right variant has the two sides
+    of every left-variant generator swapped."""
     fam = TUBICAL_FAMILIES[tubical_base(spec.family)]
     gens = fam.generators(spec.param("n"))
     if spec.family != fam.name:
         gens = [rotation(g.r, g.l) for g in gens]
-    return generate(gens)
+    return gens
+
+
+def _build_tubical(spec: GroupSpec) -> PointGroup:
+    return generate(tubical_generators(spec))
 
 
 # ---------------------------------------------------------------------------

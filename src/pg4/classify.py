@@ -5,6 +5,11 @@ cyclic/dihedral means toroidal, exactly one polyhedral means tubical, both
 polyhedral means polyhedral-or-axial.  Inputs must be in standard position
 (invariant torus T_i^i, Hopf bundle H^i, or the standard quaternion groups);
 there is no general O(4) conjugacy search.
+
+A tubical group is named from its Goursat data and confirmed without a
+closure: the generators of the one candidate spec must lie in G.  The family
+row fixes ``len(G) == spec_order(spec)``, and ``build`` checks that order
+against the closure of those generators, so by Lagrange they generate G.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from .catalog import (
     build,
     polyhedral_spec,
     spec_order,
+    tubical_generators,
     tubical_spec,
 )
 from .constants import ONE
@@ -73,9 +79,8 @@ def _classify_tubical(G: PointGroup, cat: Category) -> GroupSpec:
     """Match the Goursat data of G, read from its polyhedral side, against the
     family table; a right group is matched with its two sides swapped."""
     right = cat.tag == "tubical-right"
-    L0, R0 = _kernels(G)
-    ltype, rt, L0, R0 = (cat.right, cat.left, R0, L0) if right else (cat.left, cat.right, L0, R0)
-    l0, r0t = classify_quat_group(L0), classify_quat_group(R0)
+    l0t, r0t = map(classify_quat_group, _kernels(G))
+    ltype, rt, l0, r0 = (cat.right, cat.left, r0t, l0t) if right else (cat.left, cat.right, l0t, r0t)
     l0tag = "D4" if (l0.kind, l0.n) == ("D", 2) else l0.kind
     for fam in TUBICAL_FAMILIES.values():
         if fam.left_type != ltype.kind or fam.l0 != l0tag:
@@ -84,12 +89,21 @@ def _classify_tubical(G: PointGroup, cat: Category) -> GroupSpec:
         if rem or n < fam.n_min:
             continue
         (rk, rmul), (r0k, r0mul) = fam.r_shape, fam.r0_shape
-        if (rt.kind, rt.n) != (rk, rmul * n) or (r0t.kind, r0t.n) != (r0k, r0mul * n):
+        if (rt.kind, rt.n) != (rk, rmul * n) or (r0.kind, r0.n) != (r0k, r0mul * n):
             continue
         spec = tubical_spec(fam.mirror_name if right else fam.name, n)
-        if equals(build(spec), G):
+        if _holds_generators(G, spec):
             return spec
-    raise ClassificationError("no tubical catalog match (non-standard coordinates?)")
+    raise ClassificationError(
+        f"classify: {cat.tag} group of order {len(G)} (L {cat.left}, R {cat.right}, "
+        f"L0 {l0t}, R0 {r0t}) matches no catalog family (non-standard coordinates?)")
+
+
+def _holds_generators(G: PointGroup, spec: GroupSpec) -> bool:
+    """Every generator of the tubical spec lies in G; for a G of order
+    ``spec_order(spec)`` this is ``equals(build(spec), G)``."""
+    elements = G.elements
+    return all(g in elements for g in tubical_generators(spec))
 
 
 @lru_cache(maxsize=None)
@@ -107,7 +121,9 @@ def _classify_finite(G: PointGroup) -> GroupSpec:
     matches = [sp for sp in candidates if equals(build(sp), G)]
     if len(matches) == 1:
         return matches[0]
-    raise ClassificationError("no catalog match among polyhedral/axial groups")
+    raise ClassificationError(
+        f"classify: polyhedral-or-axial group of order {len(G)} matches {len(matches)} "
+        f"of the {len(candidates)} polyhedral/axial catalog groups of that order, not one")
 
 
 def classify(G: PointGroup) -> GroupSpec:

@@ -334,13 +334,12 @@ def left_right_groups(G: PointGroup):
     """Left and right quaternion groups of the chiral part (both signs)."""
     L, R = set(), set()
     for g in G.elements:
-        if g.star:
-            continue
-        L.add(g.l)
-        L.add(quat_neg(g.l))
-        R.add(g.r)
-        R.add(quat_neg(g.r))
-    return frozenset(L), frozenset(R)
+        if not g.star:
+            L.add(g.l)
+            R.add(g.r)
+    # negate each distinct quaternion once
+    return (frozenset(L).union([quat_neg(q) for q in L]),
+            frozenset(R).union([quat_neg(q) for q in R]))
 
 
 def left_right_types(G: PointGroup) -> tuple:

@@ -115,6 +115,20 @@ def test_omega_order_three():
     assert quat_real(OMEGA) == FieldElem(Fr(-1, 2))
 
 
+def test_quat_order_matches_powers():
+    """The kept order of each quaternion of 2I, 2O and some CycloQuats is the
+    least k with q^k = 1, on the first call and on the second."""
+    from pg4.group import quat_closure
+
+    qs = quat_closure([I_I, OMEGA]) | quat_closure([I_O, OMEGA])
+    qs |= {CycloQuat(Fr(k, 12), b) for k in range(24) for b in (0, 1)}
+    for q in qs:
+        k, p = 1, q
+        while p != ONE:
+            k, p = k + 1, quat_mul(p, q)
+        assert quat_order(q) == k == quat_order(q), q
+
+
 def test_cyclo_rules():
     c = CycloQuat(Fr(1, 3), 1)
     assert quat_mul(c, c) == CycloQuat(1, 0)  # a half-turn squared is -1
