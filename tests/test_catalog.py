@@ -327,6 +327,19 @@ def test_list_catalog_counts():
         assert got == want, N
 
 
+# sha256 of the spec strings of list_catalog(300), one a line: all four kinds
+# and their order
+CATALOG_300_SHA256 = "c924531acb1085b81d242a242365ec3ca9bd45ecba884ed5ad46fb901839ee05"
+
+
+def test_list_catalog_pinned():
+    import hashlib
+    specs = list_catalog(300)
+    assert len(specs) == 52140
+    text = "\n".join(map(str, specs))
+    assert hashlib.sha256(text.encode()).hexdigest() == CATALOG_300_SHA256
+
+
 def test_catalog_no_duplicate_groups_small():
     # no two listed specs produce equal element sets at orders <= 24
     specs = [sp for sp in list_catalog(24)]
