@@ -15,8 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from pg4.catalog import build, tubical_spec
-from pg4.hopf import GreatCircle
-from pg4.orbits import center_of, export_mesh, orbit, polar_cell
+from pg4.orbits import center_start, export_mesh, orbit, polar_cell
 
 CASES = [
     ("+-[IxC]", 1, "5-fold"),
@@ -36,8 +35,7 @@ def main():
     for fam, n, kind in CASES:
         spec = tubical_spec(fam, n)
         G = build(spec)
-        p = center_of(spec, kind)
-        v = GreatCircle.make(p, [1.0, 0.0, 0.0]).sample(0.05)
+        v = center_start(spec, kind)
         orb = orbit(G, v)
         pts = orb.array()
         at = pts[int(np.argmin(((pts - v) ** 2).sum(axis=1)))]

@@ -10,7 +10,7 @@ Families and canonical parameter ranges:
 * 21 axial groups (7 pyramidal, 7 prismatic, 7 hybrid).
 
 The family records are the one place for family facts: ``TUBICAL_FAMILIES``
-(order factor, ``n_min``, induced 3D group, generators, Goursat shape),
+(order factor, ``n_min``, induced 3D group, generators),
 ``TOROIDAL_FAMILIES`` (parameters, chirality, order factor, parameter range,
 generators) and ``POLYHEDRAL_FAMILIES`` (order, Coxeter alias, and either the
 recipe of a chiral group or the base and fixed reversing element of an
@@ -126,14 +126,7 @@ def polyhedral_spec(name: str) -> GroupSpec:
 
 @dataclass(frozen=True)
 class TubicalFamily:
-    """A left tubical family +-(1/f)[P x R] with parameter n, and its mirror.
-
-    The Goursat shape that classification matches: ``r_shape`` and
-    ``r0_shape`` are (kind, k) for the right group R and the right kernel
-    R0 = {r : [1, r] in G}, whose ``classify_quat_group`` type is kind with
-    parameter k * n; ``l0`` tags the left kernel L0 = {l : [l, 1] in G}
-    ("I", "O", "T", or "D4" for the quaternion group).
-    """
+    """A left tubical family +-(1/f)[P x R] with parameter n, and its mirror."""
 
     name: str          # left-variant label
     mirror_name: str   # right-variant label
@@ -141,9 +134,6 @@ class TubicalFamily:
     n_min: int
     induced: str       # G^h on the Hopf sphere
     pairs: Callable    # n -> (l, r) generator pairs of the left variant
-    r_shape: tuple
-    r0_shape: tuple
-    l0: str
 
     @property
     def left_type(self) -> str:
@@ -157,38 +147,27 @@ class TubicalFamily:
 
 TUBICAL_FAMILIES = {f.name: f for f in (
     TubicalFamily("+-[IxC]", "+-[CxI]", 120, 1, "+I",
-                  lambda n: [(I_I, ONE), (OMEGA, ONE), (ONE, e_n(n))],
-                  ("C", 1), ("C", 1), "I"),
+                  lambda n: [(I_I, ONE), (OMEGA, ONE), (ONE, e_n(n))]),
     TubicalFamily("+-[OxC]", "+-[CxO]", 48, 1, "+O",
-                  lambda n: [(I_O, ONE), (OMEGA, ONE), (ONE, e_n(n))],
-                  ("C", 1), ("C", 1), "O"),
+                  lambda n: [(I_O, ONE), (OMEGA, ONE), (ONE, e_n(n))]),
     TubicalFamily("+-1/2[OxC2]", "+-1/2[C2xO]", 48, 1, "+O",
-                  lambda n: [(QI, ONE), (OMEGA, ONE), (ONE, e_n(n)), (I_O, e_n(2 * n))],
-                  ("C", 2), ("C", 1), "T"),
+                  lambda n: [(QI, ONE), (OMEGA, ONE), (ONE, e_n(n)), (I_O, e_n(2 * n))]),
     TubicalFamily("+-[TxC]", "+-[CxT]", 24, 1, "+T",
-                  lambda n: [(QI, ONE), (OMEGA, ONE), (ONE, e_n(n))],
-                  ("C", 1), ("C", 1), "T"),
+                  lambda n: [(QI, ONE), (OMEGA, ONE), (ONE, e_n(n))]),
     TubicalFamily("+-1/3[TxC3]", "+-1/3[C3xT]", 24, 1, "+T",
-                  lambda n: [(QI, ONE), (ONE, e_n(n)), (OMEGA, e_n(3 * n))],
-                  ("C", 3), ("C", 1), "D4"),
+                  lambda n: [(QI, ONE), (ONE, e_n(n)), (OMEGA, e_n(3 * n))]),
     TubicalFamily("+-[IxD2]", "+-[D2xI]", 240, 2, "+-I",
-                  lambda n: [(I_I, ONE), (OMEGA, ONE), (ONE, e_n(n)), (ONE, QJ)],
-                  ("D", 1), ("D", 1), "I"),
+                  lambda n: [(I_I, ONE), (OMEGA, ONE), (ONE, e_n(n)), (ONE, QJ)]),
     TubicalFamily("+-[OxD2]", "+-[D2xO]", 96, 2, "+-O",
-                  lambda n: [(I_O, ONE), (OMEGA, ONE), (ONE, e_n(n)), (ONE, QJ)],
-                  ("D", 1), ("D", 1), "O"),
+                  lambda n: [(I_O, ONE), (OMEGA, ONE), (ONE, e_n(n)), (ONE, QJ)]),
     TubicalFamily("+-1/2[OxDb4]", "+-1/2[Db4xO]", 96, 2, "+-O",
-                  lambda n: [(QI, ONE), (OMEGA, ONE), (ONE, e_n(n)), (ONE, QJ), (I_O, e_n(2 * n))],
-                  ("D", 2), ("D", 1), "T"),
+                  lambda n: [(QI, ONE), (OMEGA, ONE), (ONE, e_n(n)), (ONE, QJ), (I_O, e_n(2 * n))]),
     TubicalFamily("+-1/2[OxD2]", "+-1/2[D2xO]", 48, 2, "TO",
-                  lambda n: [(QI, ONE), (OMEGA, ONE), (ONE, e_n(n)), (I_O, QJ)],
-                  ("D", 1), ("C", 1), "T"),
+                  lambda n: [(QI, ONE), (OMEGA, ONE), (ONE, e_n(n)), (I_O, QJ)]),
     TubicalFamily("+-1/6[OxD6]", "+-1/6[D6xO]", 48, 1, "TO",
-                  lambda n: [(QI, ONE), (ONE, e_n(n)), (I_O, QJ), (OMEGA, e_n(3 * n))],
-                  ("D", 3), ("C", 1), "D4"),
+                  lambda n: [(QI, ONE), (ONE, e_n(n)), (I_O, QJ), (OMEGA, e_n(3 * n))]),
     TubicalFamily("+-[TxD2]", "+-[D2xT]", 48, 2, "+-T",
-                  lambda n: [(QI, ONE), (OMEGA, ONE), (ONE, e_n(n)), (ONE, QJ)],
-                  ("D", 1), ("D", 1), "T"),
+                  lambda n: [(QI, ONE), (OMEGA, ONE), (ONE, e_n(n)), (ONE, QJ)]),
 )}
 
 TUBICAL_LEFT = list(TUBICAL_FAMILIES)
@@ -293,8 +272,13 @@ def _descending(m: int, n: int) -> bool:
     return m >= n >= 1 and (m, n) != (1, 1)
 
 
+def _s_range(m: int, n: int):
+    """The shifts s with -m <= 2 s <= n - m."""
+    return range(-(m // 2), (n - m) // 2 + 1)
+
+
 def _shift_ok(m: int, n: int, s: int) -> bool:
-    return m >= 1 and n >= 1 and -m <= 2 * s <= n - m
+    return m >= 1 and n >= 1 and s in _s_range(m, n)
 
 
 @dataclass(frozen=True)
@@ -400,11 +384,6 @@ def _lattice_size(p: dict) -> int:
     if "m" in p:
         return p["m"] * p["n"]
     return p["n"] ** 2
-
-
-def _s_range(m: int, n: int):
-    """The shifts s with -m <= 2 s <= n - m."""
-    return range(-(m // 2), (n - m) // 2 + 1)
 
 
 def _toroidal_family(spec: GroupSpec) -> ToroidalFamily:
@@ -752,25 +731,30 @@ def _toroidal_specs_of_order(N: int):
     return specs
 
 
+# the polyhedral and axial specs, keyed by order
+_FINITE_BY_ORDER = {}
+for _sp in ([polyhedral_spec(name) for name in POLYHEDRAL_FAMILIES]
+            + [GroupSpec("axial", fam) for fam in AXIAL_FAMILIES]):
+    _FINITE_BY_ORDER.setdefault(spec_order(_sp), []).append(_sp)
+
+
+def _other_specs_of_order(N: int) -> list:
+    """The tubical specs of order N in both variants, then the polyhedral and
+    axial specs of order N."""
+    specs = []
+    for fam in TUBICAL_FAMILIES.values():
+        n, rem = divmod(N, fam.order_factor)
+        if not rem and n >= fam.n_min:
+            specs += [tubical_spec(fam.name, n), tubical_spec(fam.mirror_name, n)]
+    return specs + _FINITE_BY_ORDER.get(N, [])
+
+
 def list_catalog(max_order: int):
-    """All catalog specs with order <= max_order, duplicate-free."""
+    """All catalog specs with order <= max_order, duplicate-free: by order,
+    then in ``GroupSpec`` order (kind, family, params)."""
     specs = []
     for N in range(1, max_order + 1):
-        specs.extend(_toroidal_specs_of_order(N))
-    for fam in TUBICAL_LEFT:
-        info = TUBICAL_FAMILIES[fam]
-        n = info.n_min
-        while info.order_factor * n <= max_order:
-            specs.append(tubical_spec(fam, n))
-            specs.append(tubical_spec(info.mirror_name, n))
-            n += 1
-    for name, order_ in POLYHEDRAL_ORDERS.items():
-        if order_ <= max_order:
-            specs.append(polyhedral_spec(name))
-    for fam in AXIAL_FAMILIES:
-        if _axial_order(fam) <= max_order:
-            specs.append(GroupSpec("axial", fam))
-    specs.sort(key=lambda s: (spec_order(s), s.kind, s.family, s.params))
+        specs += sorted(_toroidal_specs_of_order(N) + _other_specs_of_order(N))
     return specs
 
 

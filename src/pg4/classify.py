@@ -6,28 +6,29 @@ polyhedral means polyhedral-or-axial.  Inputs must be in standard position
 (invariant torus T_i^i, Hopf bundle H^i, or the standard quaternion groups);
 there is no general O(4) conjugacy search.
 
-A tubical group is named from its Goursat data and confirmed without a
-closure: the generators of the one candidate spec must lie in G.  The family
-row fixes ``len(G) == spec_order(spec)``, and ``build`` checks that order
-against the closure of those generators, so by Lagrange they generate G.
+A tubical, polyhedral or axial group is named as the one catalog spec of its
+order, among the specs of ``catalog._other_specs_of_order(len(G))`` on the
+side the category was read from: the tubical specs of G's variant whose
+polyhedral group is G's, or the polyhedral and axial specs.  A tubical
+candidate is confirmed without a closure, by its generators lying in G:
+``build`` checks the candidate's order against the closure of those
+generators, and that order is ``len(G)``, so by Lagrange they generate G.  A
+polyhedral or axial candidate is confirmed by set equality with its built
+group.  Exactly one candidate must be confirmed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .algebra import quat_neg
 from .catalog import (
-    AXIAL_FAMILIES,
     GroupSpec,
-    POLYHEDRAL_FAMILIES,
     TUBICAL_FAMILIES,
+    _other_specs_of_order,
     build,
-    polyhedral_spec,
-    spec_order,
+    tubical_base,
     tubical_generators,
-    tubical_spec,
 )
 from .constants import ONE
 from .group import (
@@ -75,25 +76,29 @@ def _kernels(G: PointGroup) -> tuple:
     return frozenset(L0), frozenset(R0)
 
 
-def _classify_tubical(G: PointGroup, cat: Category) -> GroupSpec:
-    """Match the Goursat data of G, read from its polyhedral side, against the
-    family table; a right group is matched with its two sides swapped."""
-    right = cat.tag == "tubical-right"
+def _classify_catalog(G: PointGroup, cat: Category) -> GroupSpec:
+    """The one catalog spec of order ``len(G)`` on the side ``category`` read:
+    a tubical spec of G's variant and polyhedral type, confirmed by
+    ``_holds_generators``, or a polyhedral or axial spec, confirmed by
+    ``equals(build(spec), G)``."""
+    specs = _other_specs_of_order(len(G))
+    if cat.tag == "polyhedral-or-axial":
+        candidates = [sp for sp in specs if sp.kind != "tubical"]
+    else:
+        right = cat.tag == "tubical-right"
+        ptype = (cat.right if right else cat.left).kind
+        candidates = [sp for sp in specs if sp.kind == "tubical"
+                      and (sp.family not in TUBICAL_FAMILIES) == right
+                      and TUBICAL_FAMILIES[tubical_base(sp.family)].left_type == ptype]
+    matches = [sp for sp in candidates if (_holds_generators(G, sp) if sp.kind == "tubical"
+                                           else equals(build(sp), G))]
+    if len(matches) == 1:
+        return matches[0]
+    if cat.tag == "polyhedral-or-axial":
+        raise ClassificationError(
+            f"classify: polyhedral-or-axial group of order {len(G)} matches {len(matches)} "
+            f"of the {len(candidates)} polyhedral/axial catalog groups of that order, not one")
     l0t, r0t = map(classify_quat_group, _kernels(G))
-    ltype, rt, l0, r0 = (cat.right, cat.left, r0t, l0t) if right else (cat.left, cat.right, l0t, r0t)
-    l0tag = "D4" if (l0.kind, l0.n) == ("D", 2) else l0.kind
-    for fam in TUBICAL_FAMILIES.values():
-        if fam.left_type != ltype.kind or fam.l0 != l0tag:
-            continue
-        n, rem = divmod(len(G), fam.order_factor)
-        if rem or n < fam.n_min:
-            continue
-        (rk, rmul), (r0k, r0mul) = fam.r_shape, fam.r0_shape
-        if (rt.kind, rt.n) != (rk, rmul * n) or (r0.kind, r0.n) != (r0k, r0mul * n):
-            continue
-        spec = tubical_spec(fam.mirror_name if right else fam.name, n)
-        if _holds_generators(G, spec):
-            return spec
     raise ClassificationError(
         f"classify: {cat.tag} group of order {len(G)} (L {cat.left}, R {cat.right}, "
         f"L0 {l0t}, R0 {r0t}) matches no catalog family (non-standard coordinates?)")
@@ -106,31 +111,9 @@ def _holds_generators(G: PointGroup, spec: GroupSpec) -> bool:
     return all(g in elements for g in tubical_generators(spec))
 
 
-@lru_cache(maxsize=None)
-def _finite_catalog_by_order():
-    index = {}
-    for sp in ([polyhedral_spec(name) for name in POLYHEDRAL_FAMILIES]
-               + [GroupSpec("axial", fam) for fam in AXIAL_FAMILIES]):
-        index.setdefault(spec_order(sp), []).append(sp)
-    return index
-
-
-def _classify_finite(G: PointGroup) -> GroupSpec:
-    # no fingerprint prefilter: equal element sets have equal fingerprints
-    candidates = _finite_catalog_by_order().get(len(G), [])
-    matches = [sp for sp in candidates if equals(build(sp), G)]
-    if len(matches) == 1:
-        return matches[0]
-    raise ClassificationError(
-        f"classify: polyhedral-or-axial group of order {len(G)} matches {len(matches)} "
-        f"of the {len(candidates)} polyhedral/axial catalog groups of that order, not one")
-
-
 def classify(G: PointGroup) -> GroupSpec:
     cat = category(G)
     if cat.tag == "toroidal":
         from .toroidal import classify_toroidal
         return classify_toroidal(G)
-    if cat.tag in ("tubical-left", "tubical-right"):
-        return _classify_tubical(G, cat)
-    return _classify_finite(G)
+    return _classify_catalog(G, cat)

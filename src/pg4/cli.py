@@ -75,7 +75,7 @@ def _cmd_count(args):
 
 
 def _resolve_start(args, spec):
-    from .orbits import GENERIC_START, center_of, unit_vector
+    from .orbits import GENERIC_START, center_start, unit_vector
 
     if args.point:
         try:
@@ -89,9 +89,7 @@ def _resolve_start(args, spec):
         except ValueError:
             raise SpecError(f"--point: {args.point} has no finite nonzero norm") from None
     if args.center:
-        from .hopf import GreatCircle
-        p = center_of(spec, args.center)
-        return GreatCircle.make(p, [1.0, 0.0, 0.0]).sample(0.05)
+        return center_start(spec, args.center)
     return GENERIC_START
 
 

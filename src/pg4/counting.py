@@ -25,8 +25,9 @@ from .catalog import (
     TUBICAL_FAMILIES,
     _axial_chiral,
     _axial_order,
+    _other_specs_of_order,
+    _toroidal_specs_of_order,
     build,
-    spec_order,
 )
 from .group import equals, is_chiral
 
@@ -390,8 +391,7 @@ def brute_force_census(N: int) -> OrderCensus:
     """Oracle: enumerate catalog specs of order N, build, check distinctness."""
     if N > 32:
         raise ValueError("brute-force census is limited to N <= 32")
-    from .catalog import list_catalog
-    specs = [sp for sp in list_catalog(N) if spec_order(sp) == N]
+    specs = _toroidal_specs_of_order(N) + _other_specs_of_order(N)
     groups = [(sp, build(sp)) for sp in specs]
     for i in range(len(groups)):
         for j in range(i + 1, len(groups)):

@@ -223,11 +223,30 @@ def center_of(spec: GroupSpec, kind: str) -> np.ndarray:
     return _center_point(induced, kind)
 
 
+def center_start(spec: GroupSpec, kind: str) -> np.ndarray:
+    """A start point on the orbit circle over a rotation center.
+
+    A right variant is its left variant conjugated by x -> x-bar, so its start
+    point is the left one's mirror image, with the i, j, k coordinates negated.
+    """
+    v = GreatCircle.make(center_of(spec, kind), [1.0, 0.0, 0.0]).sample(0.05)
+    if spec.family != tubical_base(spec.family):
+        v = v * np.array([1.0, -1.0, -1.0, -1.0])
+    return v
+
+
+def _left_center(spec: GroupSpec, kind: str, caller: str) -> np.ndarray:
+    """``center_of``, for a left tubical spec only: the orbit circle of a right
+    variant lies in the mirror Hopf bundle."""
+    p = center_of(spec, kind)
+    if spec.family != tubical_base(spec.family):
+        raise ValueError(f"{caller} expects a left tubical group")
+    return p
+
+
 def orbit_circle_polygon(G: PointGroup, spec: GroupSpec, kind: str) -> int:
     """Number of orbit points on the orbit circle over a rotation center."""
-    p = center_of(spec, kind)
-    if spec.family != tubical_base(spec.family):  # right variant: mirror bundle
-        raise ValueError("orbit_circle_polygon expects a left tubical group")
+    p = _left_center(spec, kind, "orbit_circle_polygon")
     K = GreatCircle.make(p, [1.0, 0.0, 0.0])
     v = K.sample(0.05)
     orb = orbit(G, v).array()
@@ -265,7 +284,7 @@ def circle_polygon_exact(G: PointGroup, p) -> int:
 
 def screw_angles(G: PointGroup, spec: GroupSpec, kind: str) -> list:
     """Exact screw angles (fractions of a full turn) between adjacent cells."""
-    p = center_of(spec, kind)
+    p = _left_center(spec, kind, "screw_angles")
     data = circle_angle_data(G, p)
     npoly = len({al for al, ar in data})
     step = Fraction(2, npoly)

@@ -24,6 +24,7 @@ from .catalog import (
     TOROIDAL_FAMILIES,
     GroupSpec,
     SpecError,
+    _s_range,
     build_unchecked,
     constraints_ok,
     spec_order,
@@ -202,11 +203,11 @@ def _lattice_params(pts: set, den: int) -> TorusLattice:
 
 def _canonical_s(m: int, n: int, s0: int) -> int:
     """In-range representative; prefers the unflipped class s0 + nZ."""
+    r = _s_range(m, n)
     for base in (s0, (-m - s0) % n):
-        for k in range(-(m // n + 2), 2):
-            s = base + k * n
-            if -m <= 2 * s <= n - m:
-                return s
+        s = r.start + (base - r.start) % n
+        if s in r:
+            return s
     raise NotToroidalError(f"no canonical s for (m={m}, n={n}, s0={s0})")
 
 

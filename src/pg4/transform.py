@@ -119,23 +119,15 @@ def _mul4(a, b):
 
 def apply(g: Transform4, x) -> np.ndarray:
     """Image of a 4-vector under g (floating point)."""
-    import numpy as np
-
-    w, x1, x2, x3 = (float(v) for v in x)
-    q = (w, x1, x2, x3)
-    if g.star:
-        q = (q[0], -q[1], -q[2], -q[3])
-    lw, lx, ly, lz = quat_float4(g.l)
-    lbar = (lw, -lx, -ly, -lz)
-    return np.array(_mul4(_mul4(lbar, q), quat_float4(g.r)))
+    return apply_columns(g.star, quat_float4(g.l), quat_float4(g.r), [float(v) for v in x])
 
 
 def apply_columns(star, l, r, x) -> np.ndarray:
     """``apply`` over numpy columns, with the images as the rows of the result.
 
     ``star`` is a bool or a bool array; ``l``, ``r`` and ``x`` are 4-sequences
-    of floats or of equal-length arrays, and all of them broadcast.  The
-    arithmetic is ``apply``'s, elementwise, so each image is bit-identical.
+    of floats or of equal-length arrays, and all of them broadcast.  Each
+    image is x -> l-bar x r, with x conjugated first where ``star`` holds.
     """
     import numpy as np
 

@@ -50,6 +50,19 @@ def test_cell_off(tmp_path):
     assert lines[0] == "OFF" and lines[1] == "20 12 30"
 
 
+@pytest.mark.parametrize("spec,center,vfe", [
+    ("tub:+-[IxC]:n=5", "5-fold", (20, 12, 30)),
+    ("tub:+-[CxI]:n=5", "5-fold", (20, 12, 30)),
+    ("tub:+-[OxC]:n=3", "3-fold", (24, 14, 36)),
+    ("tub:+-[CxO]:n=3", "3-fold", (24, 14, 36)),
+])
+def test_cell_center_right_variant(tmp_path, spec, center, vfe):
+    # a right variant is the mirror image of its left variant: the same cell
+    r = run("cell", spec, "--center", center, "--out", str(tmp_path / "cell.off"))
+    d = json.loads(r.stdout)
+    assert (d["vertices"], d["faces"], d["edges"]) == vfe
+
+
 def test_orbit_points():
     r = run("orbit", "tub:+-[TxC]:n=1", "--point", "1,0,0,0")
     lines = [json.loads(ln) for ln in r.stdout.strip().splitlines()]

@@ -13,6 +13,7 @@ from pg4.hopf import GreatCircle
 from pg4.orbits import (
     GENERIC_START,
     center_of,
+    center_start,
     circle_polygon_exact,
     color_orbits,
     export_mesh,
@@ -132,6 +133,24 @@ def test_screw_angles():
     sp = tubical_spec("+-[IxC]", 25)
     angs = screw_angles(build(sp), sp, "5-fold")
     assert [a.t for a in angs] == [2 * (Fr(k, 5) + Fr(1, 50)) for k in range(5)]
+
+
+def test_right_variant_centers():
+    # the right variant is the left one conjugated by x -> x-bar: its start
+    # point and its orbit are the mirror images of the left ones
+    left, right = tubical_spec("+-[IxC]", 5), tubical_spec("+-[CxI]", 5)
+    mirror = np.array([1.0, -1.0, -1.0, -1.0])
+    v = center_start(left, "5-fold")
+    assert np.array_equal(center_start(right, "5-fold"), v * mirror)
+    G = build(right)
+    a = orbit(build(left), v).array() * mirror
+    b = orbit(G, v * mirror).array()
+    assert len(a) == len(b) == 120
+    assert np.abs(a[:, None, :] - b[None, :, :]).sum(axis=2).min(axis=0).max() < 1e-9
+    # the left-only functions refuse it
+    for fn in (screw_angles, orbit_circle_polygon):
+        with pytest.raises(ValueError, match="expects a left tubical group"):
+            fn(G, right, "5-fold")
 
 
 def test_polar_cells_platonic():

@@ -181,6 +181,21 @@ def test_duplication_conjugator_lets_real_errors_through(monkeypatch):
         duplication_conjugator.__wrapped__(sp, target)
 
 
+def test_canonical_s_is_the_in_range_shift():
+    # the first of the classes s0 + nZ and -m - s0 + nZ with -m <= 2 s <= n - m
+    from pg4.toroidal import _canonical_s
+    for m in range(1, 30):
+        for n in range(1, 30):
+            for s0 in range(n):
+                want = next((s for base in (s0, -m - s0) for s in range(-m, n + 1)
+                             if (s - base) % n == 0 and -m <= 2 * s <= n - m), None)
+                if want is None:
+                    with pytest.raises(NotToroidalError):
+                        _canonical_s(m, n, s0)
+                else:
+                    assert _canonical_s(m, n, s0) == want, (m, n, s0)
+
+
 def test_canonical_spec_unchanged():
     for text in ("tor:1:m=2,n=5,s=1", "tor:X/c2mm:m=5,n=5", "tor:L:a=4,b=3"):
         sp = parse_spec(text)
