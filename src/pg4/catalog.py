@@ -29,7 +29,7 @@ lattice step would divide by zero it raises ``SpecError``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
@@ -256,120 +256,123 @@ def _swapturn(a: int, b: int) -> list:
     ]
 
 
-def _even(m_min: int, n_min: int) -> Callable:
-    return lambda m, n: m % 2 == 0 and n % 2 == 0 and m >= m_min and n >= n_min
-
-
-def _same_parity(m_min: int, n_min: int) -> Callable:
-    return lambda m, n: m >= m_min and n >= n_min and (m - n) % 2 == 0
-
-
-def _positive(m: int, n: int) -> bool:
-    return m >= 1 and n >= 1
-
-
-def _descending(m: int, n: int) -> bool:
-    return m >= n >= 1 and (m, n) != (1, 1)
-
-
 def _s_range(m: int, n: int):
     """The shifts s with -m <= 2 s <= n - m."""
     return range(-(m // 2), (n - m) // 2 + 1)
 
 
-def _shift_ok(m: int, n: int, s: int) -> bool:
-    return m >= 1 and n >= 1 and s in _s_range(m, n)
-
-
 @dataclass(frozen=True)
 class ToroidalFamily:
-    """A toroidal family: its canonical parameter range and its generators,
-    both functions of the parameters in ``param_names`` order."""
+    """A toroidal family: its generators, a function of the parameters in
+    ``param_names`` order, and its canonical range as data read by
+    ``in_range`` and the census: ``mins`` of the leading parameters (m, n;
+    a, b; or n), ``parity`` "even" (both) or "same", ``descending`` (m >= n),
+    the ``excluded`` pairs, and any shift s over ``_s_range(m, n)``."""
 
     family: str
     param_names: tuple
     chiral: bool
-    order_factor: int     # |G| = order_factor * (m n, a^2 + b^2 or n^2)
-    in_range: Callable    # (*params) -> bool
+    order_factor: int     # a power of 2; |G| = order_factor * (m n, a^2 + b^2 or n^2)
+    mins: tuple
     generators: Callable  # (*params) -> generator transforms
+    _: KW_ONLY
+    parity: str | None = None
+    descending: bool = False
+    excluded: tuple = ()
+
+    def in_range(self, *params) -> bool:
+        """Whether params lie in the canonical range; for a family with a
+        shift, (m, n) alone checks the lattice and (m, n, s) the shift too."""
+        if len(params) == 1:
+            return params[0] >= self.mins[0]
+        m, n = params[:2]
+        if m < self.mins[0] or n < self.mins[1] or self.excluded and (m, n) in self.excluded:
+            return False
+        if self.parity and ((m - n) % 2 or self.parity == "even" and m % 2):
+            return False
+        if self.descending and m < n:
+            return False
+        return len(params) == 2 or params[2] in _s_range(m, n)
 
 
 TOROIDAL_FAMILIES = {f.family: f for f in (
-    ToroidalFamily("1", ("m", "n", "s"), True, 1, _shift_ok, _translations),
-    ToroidalFamily(".", ("m", "n", "s"), True, 2,
-                   lambda m, n, s: _shift_ok(m, n, s) and (m, n) not in ((1, 1), (2, 1)),
-                   lambda m, n, s: _translations(m, n, s) + [rotation(QJ, QJ)]),
-    ToroidalFamily("\\/pm", ("m", "n"), True, 1, _even(4, 4),
-                   lambda m, n: _grid(m // 2, n // 2) + [rotation(MINUS_K, QI)]),
-    ToroidalFamily("\\/pg", ("m", "n"), True, 1, _even(4, 2),
+    ToroidalFamily("1", ("m", "n", "s"), True, 1, (1, 1), _translations),
+    ToroidalFamily(".", ("m", "n", "s"), True, 2, (1, 1),
+                   lambda m, n, s: _translations(m, n, s) + [rotation(QJ, QJ)],
+                   excluded=((1, 1), (2, 1))),
+    ToroidalFamily("\\/pm", ("m", "n"), True, 1, (4, 4),
+                   lambda m, n: _grid(m // 2, n // 2) + [rotation(MINUS_K, QI)], parity="even"),
+    ToroidalFamily("\\/pg", ("m", "n"), True, 1, (4, 2),
                    lambda m, n: _grid(m // 2, n // 2)
-                   + [rotation(MINUS_K, exp_i(_glide(n // 2)))]),
-    ToroidalFamily("\\/cm", ("m", "n"), True, 2, _same_parity(3, 2),
-                   lambda m, n: _rhombic(m, n) + [rotation(MINUS_K, QI)]),
-    ToroidalFamily("//pm", ("m", "n"), True, 1, _even(4, 4),
-                   lambda m, n: _grid(m // 2, n // 2) + [rotation(QI, QK)]),
-    ToroidalFamily("//pg", ("m", "n"), True, 1, _even(2, 4),
+                   + [rotation(MINUS_K, exp_i(_glide(n // 2)))], parity="even"),
+    ToroidalFamily("\\/cm", ("m", "n"), True, 2, (3, 2),
+                   lambda m, n: _rhombic(m, n) + [rotation(MINUS_K, QI)], parity="same"),
+    ToroidalFamily("//pm", ("m", "n"), True, 1, (4, 4),
+                   lambda m, n: _grid(m // 2, n // 2) + [rotation(QI, QK)], parity="even"),
+    ToroidalFamily("//pg", ("m", "n"), True, 1, (2, 4),
                    lambda m, n: _grid(m // 2, n // 2)
-                   + [rotation(exp_i(_glide(m // 2)), QK)]),
-    ToroidalFamily("//cm", ("m", "n"), True, 2, _same_parity(2, 3),
-                   lambda m, n: _rhombic(m, n) + [rotation(QI, QK)]),
-    ToroidalFamily("X/p2mm", ("m", "n"), True, 2, _even(4, 4),
+                   + [rotation(exp_i(_glide(m // 2)), QK)], parity="even"),
+    ToroidalFamily("//cm", ("m", "n"), True, 2, (2, 3),
+                   lambda m, n: _rhombic(m, n) + [rotation(QI, QK)], parity="same"),
+    ToroidalFamily("X/p2mm", ("m", "n"), True, 2, (4, 4),
                    lambda m, n: _grid(m // 2, n // 2)
-                   + [rotation(QI, QK), rotation(MINUS_K, QI)]),
-    ToroidalFamily("X/p2mg", ("m", "n"), True, 2, _even(4, 4),
+                   + [rotation(QI, QK), rotation(MINUS_K, QI)], parity="even"),
+    ToroidalFamily("X/p2mg", ("m", "n"), True, 2, (4, 4),
                    lambda m, n: _grid(m // 2, n // 2) + [
                        rotation(QI, CycloQuat(_glide(n // 2), 1)),
                        rotation(MINUS_K, exp_i(_glide(n // 2))),
-                   ]),
-    ToroidalFamily("X/p2gm", ("m", "n"), True, 2, _even(4, 4),
+                   ], parity="even"),
+    ToroidalFamily("X/p2gm", ("m", "n"), True, 2, (4, 4),
                    lambda m, n: _grid(m // 2, n // 2) + [
                        rotation(exp_i(_glide(m // 2)), QK),
                        rotation(CycloQuat(_glide(m // 2) + 1, 1), QI),
-                   ]),
-    ToroidalFamily("X/p2gg", ("m", "n"), True, 2, _even(4, 4),
+                   ], parity="even"),
+    ToroidalFamily("X/p2gg", ("m", "n"), True, 2, (4, 4),
                    lambda m, n: _grid(m // 2, n // 2) + [
                        rotation(exp_i(_glide(m // 2)), CycloQuat(_glide(n // 2), 1)),
                        rotation(CycloQuat(_glide(m // 2) + 1, 1), exp_i(_glide(n // 2))),
-                   ]),
-    ToroidalFamily("X/c2mm", ("m", "n"), True, 4, _same_parity(3, 3),
-                   lambda m, n: _rhombic(m, n) + [rotation(QI, QK), rotation(MINUS_K, QI)]),
-    ToroidalFamily("|/pm", ("m", "n"), False, 2, _positive,
+                   ], parity="even"),
+    ToroidalFamily("X/c2mm", ("m", "n"), True, 4, (3, 3),
+                   lambda m, n: _rhombic(m, n) + [rotation(QI, QK), rotation(MINUS_K, QI)],
+                   parity="same"),
+    ToroidalFamily("|/pm", ("m", "n"), False, 2, (1, 1),
                    lambda m, n: _diagonal(m, n) + [reflection(QI, QI)]),
-    ToroidalFamily("|/pg", ("m", "n"), False, 2, _positive,
+    ToroidalFamily("|/pg", ("m", "n"), False, 2, (1, 1),
                    lambda m, n: _diagonal(m, n)
                    + [reflection(exp_i(_glide(m)), exp_i(_glide(m)))]),
-    ToroidalFamily("|/cm", ("m", "n"), False, 4, _positive,
+    ToroidalFamily("|/cm", ("m", "n"), False, 4, (1, 1),
                    lambda m, n: _diagonal(m, n) + [_mid(m, n), reflection(QI, QI)]),
-    ToroidalFamily("+/p2mm", ("m", "n"), False, 4, _descending,
-                   lambda m, n: _diagonal(m, n) + [reflection(QI, QI), reflection(QK, QK)]),
-    ToroidalFamily("+/p2mg", ("m", "n"), False, 4,
-                   lambda m, n: _positive(m, n) and (m, n) != (1, 1),
+    ToroidalFamily("+/p2mm", ("m", "n"), False, 4, (1, 1),
+                   lambda m, n: _diagonal(m, n) + [reflection(QI, QI), reflection(QK, QK)],
+                   descending=True, excluded=((1, 1),)),
+    ToroidalFamily("+/p2mg", ("m", "n"), False, 4, (1, 1),
                    lambda m, n: _diagonal(m, n) + [
                        reflection(exp_i(_glide(n)), exp_i(Q(1, 2) - Q(1, 2 * n))),
                        reflection(CycloQuat(Q(1, 2) - Q(1, 2 * n), 1), CycloQuat(_glide(n), 1)),
-                   ]),
-    ToroidalFamily("+/p2gg", ("m", "n"), False, 4, _descending,
+                   ], excluded=((1, 1),)),
+    ToroidalFamily("+/p2gg", ("m", "n"), False, 4, (1, 1),
                    lambda m, n: _diagonal(m, n) + [
                        reflection(exp_i(Q(1, 2) + Q(1, 2 * m) + Q(1, 2 * n)),
                                   exp_i(Q(1, 2) + Q(1, 2 * m) - Q(1, 2 * n))),
                        reflection(CycloQuat(Q(1, 2) - Q(1, 2 * m) - Q(1, 2 * n), 1),
                                   CycloQuat(Q(1, 2) - Q(1, 2 * m) + Q(1, 2 * n), 1)),
-                   ]),
-    ToroidalFamily("+/c2mm", ("m", "n"), False, 8, _descending,
+                   ], descending=True, excluded=((1, 1),)),
+    ToroidalFamily("+/c2mm", ("m", "n"), False, 8, (1, 1),
                    lambda m, n: _diagonal(m, n)
-                   + [_mid(m, n), reflection(QI, QI), reflection(QK, QK)]),
-    ToroidalFamily("L", ("a", "b"), False, 4,
-                   lambda a, b: a >= b >= 0 and a >= 2 and (a, b) != (2, 0), _swapturn),
-    ToroidalFamily("*/p4mmU", ("n",), False, 8, lambda n: n >= 3,
+                   + [_mid(m, n), reflection(QI, QI), reflection(QK, QK)],
+                   descending=True, excluded=((1, 1),)),
+    ToroidalFamily("L", ("a", "b"), False, 4, (2, 0), _swapturn,
+                   descending=True, excluded=((2, 0),)),
+    ToroidalFamily("*/p4mmU", ("n",), False, 8, (3,),
                    lambda n: _diagonal(n, n) + [rotation(QI, QK), reflection(QI, QI)]),
-    ToroidalFamily("*/p4gmU", ("n",), False, 8, lambda n: n >= 3,
+    ToroidalFamily("*/p4gmU", ("n",), False, 8, (3,),
                    lambda n: _diagonal(n, n) + [
                        rotation(exp_i(Q(1, 2) + Q(1, n)), QK),
                        reflection(exp_i(Q(1, 2) + Q(1, n)), QI),
                    ]),
-    ToroidalFamily("*/p4mmS", ("n",), False, 16, lambda n: n >= 2,
+    ToroidalFamily("*/p4mmS", ("n",), False, 16, (2,),
                    lambda n: _grid(n, n) + [rotation(QI, QK), reflection(QI, QI)]),
-    ToroidalFamily("*/p4gmS", ("n",), False, 16, lambda n: n >= 2,
+    ToroidalFamily("*/p4gmS", ("n",), False, 16, (2,),
                    lambda n: _grid(n, n) + [
                        rotation(exp_i(_glide(n)), CycloQuat(Q(1, 2) - Q(1, 2 * n), 1)),
                        reflection(exp_i(_glide(n)), exp_i(_glide(n))),
@@ -668,10 +671,11 @@ def _cs_lattice_counts(m: int, n: int, s: int):
     # (1/2, 1/2) = (mn, mn) lies on row 0 (a = m/2) or on row n/2 (2a = -s mod 2m)
     diploid = m % 2 == 0 or (n % 2 == 0 and s % 2 == 0)
     # on the anti-diagonal x + y = 0: 2n a = -2b s (mod mn), which has
-    # gcd(2, m) solutions a in [0, m) when n gcd(2, m) divides 2bs, else none
+    # gcd(2, m) solutions a in [0, m) when g = n gcd(2, m) divides 2bs, else
+    # none; g divides 2bs exactly when t = g / gcd(g, 2s) divides b
     g = n * gcd(2, m)
-    k_r = gcd(2, m) * sum(1 for b in range(rows) if (2 * b * s) % g == 0)
-    return diploid, k_r
+    t = g // gcd(g, 2 * s)
+    return diploid, gcd(2, m) * -(-rows // t)
 
 
 def cs_name_type1(spec: GroupSpec) -> str:
@@ -706,23 +710,20 @@ def _toroidal_specs_of_order(N: int):
             continue
         size = N // info.order_factor
         names = info.param_names
-        if names == ("m", "n", "s"):
+        if names[0] == "m":
             for m in range(1, size + 1):
-                if size % m:
-                    continue
                 n = size // m
-                for s in _s_range(m, n):
-                    if info.in_range(m, n, s):
-                        specs.append(toroidal_spec(fam, m=m, n=n, s=s))
-        elif names == ("m", "n"):
-            for m in range(1, size + 1):
-                if size % m == 0 and info.in_range(m, size // m):
-                    specs.append(toroidal_spec(fam, m=m, n=size // m))
+                if size % m or not info.in_range(m, n):
+                    continue
+                if names == ("m", "n"):
+                    specs.append(toroidal_spec(fam, m=m, n=n))
+                else:
+                    specs += [toroidal_spec(fam, m=m, n=n, s=s) for s in _s_range(m, n)]
         elif names == ("a", "b"):
             for b in range(isqrt(size // 2) + 1):
                 a2 = size - b * b
                 a = isqrt(a2)
-                if a * a == a2 and a >= b and info.in_range(a, b):
+                if a * a == a2 and info.in_range(a, b):
                     specs.append(toroidal_spec(fam, a=a, b=b))
         else:  # ("n",)
             k = isqrt(size)

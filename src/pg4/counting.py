@@ -1,15 +1,18 @@
 """Closed-form counts of the point groups of a given order.
 
-The toroidal families dominate: the torus translation groups contribute one
-group per divisor pair N = m*n and admissible shift s, with ceil(n/2) shifts
-for odd m and ceil((n+1)/2) for even m.  Tubical, polyhedral and axial
-groups contribute finitely many per order.  Enantiomorphic pairs count as
-two groups throughout.
+The toroidal families dominate.  ``count_order`` reads each family's range
+from its ``TOROIDAL_FAMILIES`` row and counts it in closed form from one
+factorization of N: sigma0 of the lattice size, after halving both parameters
+of an "even" or "same" family; sigma1 for the two families with a shift,
+since a lattice (m, n) has (n + c)/2 shifts with c = 1, 0, 2, 1 for m, n
+odd-odd, odd-even, even-even, even-odd; the points on the circle
+a^2 + b^2 = x from the primes 1 and 3 mod 4; a square test for the full torus
+groups; less the few small pairs below a minimum or excluded.  Tubical,
+polyhedral and axial groups contribute finitely many per order, and
+enantiomorphic pairs count as two groups.  ``count_self_mirror`` keeps its
+own closed forms and exclusions.
 
-Every count is read from one factorization of N per call: the divisors of N,
-N/2, N/4 and N/8 come from its exponents, and the lattice points on the circle
-a^2 + b^2 = x from the exponents of the primes 1 and 3 mod 4.  The
-factorization is exact for N below psi_12 ~ 3.2e23, and larger orders are
+The factorization is exact for N below psi_12 ~ 3.2e23, and larger orders are
 refused.
 """
 
@@ -19,15 +22,14 @@ from dataclasses import dataclass, field
 from math import gcd, isqrt, prod
 
 from .catalog import (
-    AXIAL_FAMILIES,
-    POLYHEDRAL_FAMILIES,
     TOROIDAL_FAMILIES,
     TUBICAL_FAMILIES,
-    _axial_chiral,
-    _axial_order,
+    _FINITE_BY_ORDER,
     _other_specs_of_order,
+    _s_range,
     _toroidal_specs_of_order,
     build,
+    spec_chiral,
 )
 from .group import equals, is_chiral
 
@@ -83,24 +85,22 @@ class OrderCensus:
         return d
 
 
-# census keys "tor:" + family[0] of the achiral toroidal families
+# the census keys ("tor:" + family[0] in row order, then the other kinds),
+# and those of the achiral toroidal families
+_KEYS = [*dict.fromkeys("tor:" + f.family[0] for f in TOROIDAL_FAMILIES.values()),
+         "tubical", "polyhedral", "axial"]
 _TOR_ACHIRAL_KEYS = frozenset(
     "tor:" + f.family[0] for f in TOROIDAL_FAMILIES.values() if not f.chiral)
 
+# the toroidal rows grouped by order factor and range, each group with the
+# census keys of its rows: one evaluation per group and call
+_TOR_GROUPS = {}
+for _row in TOROIDAL_FAMILIES.values():
+    _key = (_row.order_factor, _row.param_names, _row.mins, _row.parity,
+            _row.descending, _row.excluded)
+    _TOR_GROUPS.setdefault(_key, (_row.order_factor.bit_length() - 1, _row, []))[2].append(
+        "tor:" + _row.family[0])
 
-def _finite_table() -> dict:
-    """order -> (polyhedral, achiral polyhedral, axial, achiral axial) counts."""
-    table = {}
-    rows = ([(p.order, 0, p.chiral) for p in POLYHEDRAL_FAMILIES.values()]
-            + [(_axial_order(f), 2, _axial_chiral(f)) for f in AXIAL_FAMILIES])
-    for N, i, chiral in rows:
-        counts = table.setdefault(N, [0, 0, 0, 0])
-        counts[i] += 1
-        counts[i + 1] += not chiral
-    return {N: tuple(counts) for N, counts in table.items()}
-
-
-_FINITE_BY_ORDER = _finite_table()
 
 # ---------------------------------------------------------------------------
 # factorization
@@ -205,17 +205,6 @@ def _quotients(N: int) -> list:
     return out
 
 
-def _divisors(f) -> list:
-    """Ascending divisors of the number with factorization f; [] for None."""
-    if f is None:
-        return []
-    ds = [1]
-    for p, e in f.items():
-        ds = [d * p**i for d in ds for i in range(e + 1)]
-    ds.sort()
-    return ds
-
-
 def _sigma0(f) -> int:
     if f is None:
         return 0
@@ -229,27 +218,49 @@ def _ceil_half(x: int) -> int:
     return (x + 1) // 2
 
 
-def _s_count(m: int, n: int) -> int:
-    """Number of admissible shifts: ceil(n/2) for odd m, ceil((n+1)/2) for even."""
-    return _ceil_half(n) if m % 2 else _ceil_half(n + 1)
-
-
-# An ascending divisor list of x read forwards and backwards gives the factor
-# pairs (m, x // m) of x.
-
-def _count_type1(divs: list) -> int:
-    return sum(map(_s_count, divs, reversed(divs)))
-
-
-def _count_flip(N: int, half_divs: list) -> int:
-    total = _count_type1(half_divs)
-    if N in (2, 4):
-        total -= 1  # (m, n) = (1, 1) at N = 2, (2, 1) at N = 4 excluded
-    return total
-
-
-def _count_pairs(divs: list, cond) -> int:
-    return sum(map(cond, divs, reversed(divs)))
+def _count_row(row, x: int, e: int, odd) -> int:
+    """In-range parameter tuples of ``row`` with lattice size x = 2^e y, y odd;
+    odd = (sigma0(y), sigma1(y), y is a square, factorization of y)."""
+    s0, s1, odd_square, fy = odd
+    mins = row.mins
+    if len(mins) == 1:  # x = n^2
+        n = isqrt(x)
+        return int(n * n == x and row.in_range(n))
+    if row.param_names == ("a", "b"):  # a >= b >= 0 on a^2 + b^2 = x, as many as for y,
+        # less those with a below its minimum and the excluded ones
+        small = {(a, b) for a in range(mins[0]) for b in range(a + 1)}.union(row.excluded)
+        return _circle_points(fy) - sum(a * a + b * b == x for a, b in small)
+    # m n = x: both parameters even (halved) for "even", and for "same" unless x is odd
+    h = 2 if row.parity == "even" or row.parity == "same" and e else 1
+    if h == 2:
+        if e < 2:
+            return 0
+        e -= 2
+        x >>= 2
+    shift = len(row.param_names) == 3  # then parity is None and h = 1
+    if shift:  # sum of (n + c) / 2 over m n = x; c sums to sigma0(x) for odd x,
+        # else to (0 + 2 (e - 1) + 1) sigma0(y) over the powers 2^0 .. 2^e in m
+        count = (((2 << e) - 1) * s1 + (2 * e - 1 if e else 1) * s0) // 2
+    elif row.descending:
+        count = ((e + 1) * s0 + (odd_square and e % 2 == 0)) // 2
+    else:
+        count = (e + 1) * s0
+    # less the pairs below a minimum and the excluded pairs, in halved parameters
+    small = []
+    for d in range(1, -(-mins[0] // h)):
+        if x % d == 0:
+            small.append((d, x // d))
+    for d in range(1, -(-mins[1] // h)):
+        if x % d == 0 and h * (x // d) >= mins[0]:
+            small.append((x // d, d))
+    for m, n in row.excluded:
+        if (m * n == h * h * x and m % h == 0 and n % h == 0
+                and m >= mins[0] and n >= mins[1]):
+            small.append((m // h, n // h))
+    for m, n in small:
+        if m >= n or not row.descending:
+            count -= len(_s_range(h * m, h * n)) if shift else 1
+    return count
 
 
 def _check_order(fn: str, N) -> None:
@@ -263,53 +274,29 @@ def count_order(N: int) -> OrderCensus:
     Costs one factorization of N; raises OrderError unless 1 <= N < _PSI12.
     """
     _check_order("count_order", N)
-    f1, f2, f4, f8 = _quotients(N)
-    d1, d2, d4, d8 = map(_divisors, (f1, f2, f4, f8))
+    f = _factor(N)
+    e2 = f.pop(2, 0)
+    s0 = s1 = odd_square = 1
+    for p, k in f.items():
+        s0 *= k + 1
+        s1 *= (p ** (k + 1) - 1) // (p - 1)
+        odd_square &= k % 2 == 0
+    odd = (s0, s1, odd_square, f)
     c = OrderCensus(N)
-    f = c.per_family
-    f["tor:1"] = _count_type1(d1)
-    f["tor:."] = _count_flip(N, d2)
-    # swap groups; the / counts mirror the \ counts
-    pm = _count_pairs(d4, lambda m, n: m >= 2 and n >= 2)
-    pg = _count_pairs(d4, lambda m, n: m >= 2 and n >= 1)
-    cm = _count_pairs(d2, lambda m, n: m >= 3 and n >= 2 and (m - n) % 2 == 0)
-    f["tor:\\"] = pm + pg + cm
-    f["tor:/"] = pm + pg + cm
-    f["tor:X"] = (
-        4 * _count_pairs(d8, lambda m, n: m >= 2 and n >= 2)
-        + _count_pairs(d4, lambda m, n: m >= 3 and n >= 3 and (m - n) % 2 == 0)
-    )
-    f["tor:|"] = 2 * len(d2) + len(d4)
-    p2mm = _count_pairs(d4, lambda m, n: m >= n >= 1 and (m, n) != (1, 1))
-    p2mg = _count_pairs(d4, lambda m, n: (m, n) != (1, 1))
-    p2gg = p2mm
-    c2mm = _count_pairs(d8, lambda m, n: m >= n >= 1 and (m, n) != (1, 1))
-    f["tor:+"] = p2mm + p2mg + p2gg + c2mm
-    f["tor:L"] = _count_swapturn(N, f4)
-    f["tor:*"] = _count_full_torus(N)
-    f["tubical"] = _count_tubical(N)
-    poly, c.achiral_poly, axial, c.achiral_axial = _FINITE_BY_ORDER.get(N, (0, 0, 0, 0))
-    f["polyhedral"] = poly
-    f["axial"] = axial
+    per_family = c.per_family = dict.fromkeys(_KEYS, 0)
+    for j, row, keys in _TOR_GROUPS.values():
+        if j <= e2:
+            count = _count_row(row, N >> j, e2 - j, odd)
+            for key in keys:
+                per_family[key] += count
+    per_family["tubical"] = _count_tubical(N)
+    for sp in _FINITE_BY_ORDER.get(N, ()):
+        per_family[sp.kind] += 1
+        if sp.kind == "polyhedral":
+            c.achiral_poly += not spec_chiral(sp)
+        else:
+            c.achiral_axial += not spec_chiral(sp)
     return c
-
-
-def _count_swapturn(N: int, f4) -> int:
-    """Lattices a^2 + b^2 = N/4 with a >= b >= 0 and a >= 2, but not (2, 0)."""
-    return _circle_points(f4) - (N in (4, 8, 16))
-
-
-def _count_full_torus(N: int) -> int:
-    cnt = 0
-    if N % 8 == 0:
-        k = isqrt(N // 8)
-        if 8 * k * k == N and k >= 3:
-            cnt += 2  # p4mmU and p4gmU
-    if N % 16 == 0:
-        k = isqrt(N // 16)
-        if 16 * k * k == N and k >= 2:
-            cnt += 2  # p4mmS and p4gmS
-    return cnt
 
 
 def _count_tubical(N: int) -> int:

@@ -256,12 +256,15 @@ def orbit_circle_polygon(G: PointGroup, spec: GroupSpec, kind: str) -> int:
 
 def circle_angle_data(G: PointGroup, p) -> set:
     """Exact (along, around) angle pairs (in units of pi) of the subgroup
-    preserving the oriented orbit circle over p."""
+    preserving the oriented orbit circle over p.  G must be a left tubical
+    group: every right factor cyclic or dicyclic."""
     out = set()
     for g in G.elements:
         if g.star:
             continue
-        if not isinstance(g.r, CycloQuat) or g.r.jbit:
+        if not isinstance(g.r, CycloQuat):
+            raise ValueError("circle_angle_data expects a left tubical group")
+        if g.r.jbit:
             continue
         lf = np.array(quat_float4(g.l))
         if np.linalg.norm(rotate_s2(lf, p) - p) > 1e-9:

@@ -14,6 +14,7 @@ from pg4.orbits import (
     GENERIC_START,
     center_of,
     center_start,
+    circle_angle_data,
     circle_polygon_exact,
     color_orbits,
     export_mesh,
@@ -151,6 +152,9 @@ def test_right_variant_centers():
     for fn in (screw_angles, orbit_circle_polygon):
         with pytest.raises(ValueError, match="expects a left tubical group"):
             fn(G, right, "5-fold")
+    for fn in (circle_angle_data, circle_polygon_exact):  # these take a point, not a spec
+        with pytest.raises(ValueError, match="expects a left tubical group"):
+            fn(G, center_of(right, "5-fold"))
 
 
 def test_polar_cells_platonic():
