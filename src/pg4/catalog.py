@@ -762,25 +762,19 @@ def list_catalog(max_order: int):
 # ---------------------------------------------------------------------------
 # spec-string grammar
 
-_TOR_RE = re.compile(r"^tor:([1.|\-/\\X+L*](?:/[a-z0-9]+[US]?)?):(.*)$")
-
-
 def parse_spec(text: str) -> GroupSpec:
     """Parse the CLI grammar, e.g. tub:+-[IxC]:n=5 or tor:1:m=2,n=5,s=1."""
     text = text.strip()
-    if text.startswith("tub:"):
+    kind = {"tub:": "tubical", "tor:": "toroidal"}.get(text[:4])
+    if kind:
         try:
             _, fam, ps = text.split(":", 2)
         except ValueError:
-            raise ParseError(f"bad tubical spec {text!r}") from None
-        if fam not in TUBICAL_FAMILIES and fam not in _TUBICAL_MIRROR:
-            raise ParseError(f"unknown tubical family {fam!r}")
-        return tubical_spec(fam, _parse_params(ps, ("n",))["n"])
-    if text.startswith("tor:"):
-        m = _TOR_RE.match(text)
-        if not m:
-            raise ParseError(f"bad toroidal spec {text!r}")
-        fam, ps = m.group(1), m.group(2)
+            raise ParseError(f"bad {kind} spec {text!r}") from None
+        if kind == "tubical":
+            if fam not in _TUBICAL_MIRROR:  # both variants
+                raise ParseError(f"unknown tubical family {fam!r}")
+            return tubical_spec(fam, _parse_params(ps, ("n",))["n"])
         if fam not in TOROIDAL_FAMILIES:
             raise ParseError(f"unknown toroidal family {fam!r}")
         return toroidal_spec(fam, **_parse_params(ps, TOROIDAL_FAMILIES[fam].param_names))

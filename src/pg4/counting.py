@@ -7,10 +7,11 @@ of an "even" or "same" family; sigma1 for the two families with a shift,
 since a lattice (m, n) has (n + c)/2 shifts with c = 1, 0, 2, 1 for m, n
 odd-odd, odd-even, even-even, even-odd; the points on the circle
 a^2 + b^2 = x from the primes 1 and 3 mod 4; a square test for the full torus
-groups; less the few small pairs below a minimum or excluded.  Tubical,
-polyhedral and axial groups contribute finitely many per order, and
-enantiomorphic pairs count as two groups.  ``count_self_mirror`` keeps its
-own closed forms and exclusions.
+groups; less the few small pairs below a minimum or excluded.
+``count_self_mirror`` reads the same decomposition N = 2^e y and the rows of
+the ``1``, ``.`` and full swap families.  Tubical, polyhedral and axial groups
+are counted from the per-order spec list that ``list_catalog`` reads, and
+enantiomorphic pairs count as two groups.
 
 The factorization is exact for N below psi_12 ~ 3.2e23, and larger orders are
 refused.
@@ -19,12 +20,10 @@ refused.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd, isqrt, prod
+from math import gcd, isqrt
 
 from .catalog import (
     TOROIDAL_FAMILIES,
-    TUBICAL_FAMILIES,
-    _FINITE_BY_ORDER,
     _other_specs_of_order,
     _s_range,
     _toroidal_specs_of_order,
@@ -191,32 +190,21 @@ def _factor(x: int) -> dict:
     return f
 
 
-def _quotients(N: int) -> list:
-    """Factorizations of N, N/2, N/4 and N/8 from one factorization of N,
-    by lowering the exponent of 2; None where the quotient is not an integer."""
+def _odd_part(N: int) -> tuple:
+    """(e, odd) for N = 2^e y with y odd, where odd = (sigma0(y), sigma1(y),
+    y is a square, factorization of y): one factorization of N."""
     f = _factor(N)
-    e2 = f.pop(2, 0)
-    out = []
-    for j in range(4):
-        if j > e2:
-            out.append(None)
-        else:
-            out.append({2: e2 - j, **f} if e2 > j else f)
-    return out
-
-
-def _sigma0(f) -> int:
-    if f is None:
-        return 0
-    return prod(e + 1 for e in f.values())
+    e = f.pop(2, 0)
+    s0 = s1 = odd_square = 1
+    for p, k in f.items():
+        s0 *= k + 1
+        s1 *= (p ** (k + 1) - 1) // (p - 1)
+        odd_square &= k % 2 == 0
+    return e, (s0, s1, odd_square, f)
 
 
 # ---------------------------------------------------------------------------
 # per-family counts
-
-def _ceil_half(x: int) -> int:
-    return (x + 1) // 2
-
 
 def _count_row(row, x: int, e: int, odd) -> int:
     """In-range parameter tuples of ``row`` with lattice size x = 2^e y, y odd;
@@ -229,7 +217,7 @@ def _count_row(row, x: int, e: int, odd) -> int:
     if row.param_names == ("a", "b"):  # a >= b >= 0 on a^2 + b^2 = x, as many as for y,
         # less those with a below its minimum and the excluded ones
         small = {(a, b) for a in range(mins[0]) for b in range(a + 1)}.union(row.excluded)
-        return _circle_points(fy) - sum(a * a + b * b == x for a, b in small)
+        return _circle_points(fy, odd_square) - sum(a * a + b * b == x for a, b in small)
     # m n = x: both parameters even (halved) for "even", and for "same" unless x is odd
     h = 2 if row.parity == "even" or row.parity == "same" and e else 1
     if h == 2:
@@ -274,14 +262,7 @@ def count_order(N: int) -> OrderCensus:
     Costs one factorization of N; raises OrderError unless 1 <= N < _PSI12.
     """
     _check_order("count_order", N)
-    f = _factor(N)
-    e2 = f.pop(2, 0)
-    s0 = s1 = odd_square = 1
-    for p, k in f.items():
-        s0 *= k + 1
-        s1 *= (p ** (k + 1) - 1) // (p - 1)
-        odd_square &= k % 2 == 0
-    odd = (s0, s1, odd_square, f)
+    e2, odd = _odd_part(N)
     c = OrderCensus(N)
     per_family = c.per_family = dict.fromkeys(_KEYS, 0)
     for j, row, keys in _TOR_GROUPS.values():
@@ -289,56 +270,38 @@ def count_order(N: int) -> OrderCensus:
             count = _count_row(row, N >> j, e2 - j, odd)
             for key in keys:
                 per_family[key] += count
-    per_family["tubical"] = _count_tubical(N)
-    for sp in _FINITE_BY_ORDER.get(N, ()):
+    for sp in _other_specs_of_order(N):
         per_family[sp.kind] += 1
         if sp.kind == "polyhedral":
             c.achiral_poly += not spec_chiral(sp)
-        else:
+        elif sp.kind == "axial":
             c.achiral_axial += not spec_chiral(sp)
     return c
-
-
-def _count_tubical(N: int) -> int:
-    cnt = 0
-    for info in TUBICAL_FAMILIES.values():
-        if N % info.order_factor == 0 and N // info.order_factor >= info.n_min:
-            cnt += 2  # left and right variants
-    return cnt
 
 
 # ---------------------------------------------------------------------------
 # self-mirror counting (chiral toroidal groups equal to their own mirror)
 
-def _unordered_factorizations(f) -> int:
-    return _ceil_half(_sigma0(f))
+# the full swap rows whose group on a square lattice (k, k) is its own mirror
+# image; the mirror swaps X/p2mg and X/p2gm
+_SQUARE_SELF_MIRROR_ROWS = tuple(TOROIDAL_FAMILIES[f] for f in ("X/p2mm", "X/p2gg", "X/c2mm"))
 
 
-def _square_lattices(f) -> int:
-    """Upright (x = k^2) plus slanted (x = 2 k^2) square lattices."""
-    if f is None:
-        return 0
-    if any(e % 2 for p, e in f.items() if p != 2):
-        return 0
-    return 1  # x is a square if the exponent of 2 is even, else twice one
+def _circle_points(fy, odd_square) -> int:
+    """#{(a, b): a >= b >= 0, a^2 + b^2 = x}, as many as for the odd part y
+    of x: from the factorization fy of y and whether y is a square.
 
-
-def _circle_points(f) -> int:
-    """#{(a, b): a >= b >= 0, a^2 + b^2 = x}.
-
-    Half of (B + [x = k^2] + [x = 2 k^2]), where B = prod(e + 1) over the
-    primes p = 1 mod 4 counts the representations with a > 0, b >= 0, and
-    is 0 when a prime p = 3 mod 4 divides x to an odd power.
+    Half of (B + [x = k^2 or 2 k^2]), where B = prod(e + 1) over the primes
+    p = 1 mod 4 counts the representations with a > 0, b >= 0, and is 0 when
+    a prime p = 3 mod 4 divides x to an odd power.
     """
-    if f is None:
-        return 0
     B = 1
-    for p, e in f.items():
+    for p, e in fy.items():
         if p % 4 == 1:
             B *= e + 1
         elif p % 4 == 3 and e % 2:
             return 0
-    return (B + _square_lattices(f)) // 2
+    return (B + odd_square) // 2
 
 
 def count_self_mirror(N: int) -> int:
@@ -347,31 +310,26 @@ def count_self_mirror(N: int) -> int:
     Costs one factorization of N; raises OrderError unless 1 <= N < _PSI12.
     """
     _check_order("count_self_mirror", N)
-    f1, f2, f4, _ = _quotients(N)
-    # type 1: lattices with a reflection (rectangular/rhombic) or swapturn symmetry
-    t1 = (_unordered_factorizations(f1) + _unordered_factorizations(f2)
-          + _circle_points(f1) - _square_lattices(f1))
-    # torus flip groups: same with lattice size N/2
-    if N % 2 == 0:
-        t2 = (_unordered_factorizations(f2) + _unordered_factorizations(f4)
-              + _circle_points(f2) - _square_lattices(f2))
-        if N == 2:
-            t2 -= 1  # the excluded flip group on the trivial lattice
-        if N == 4:
-            t2 -= 1  # the excluded flip group on the (2,1) lattice
-    else:
-        t2 = 0
-    # full swap groups need m = n
-    tx = 0
-    if N % 8 == 0:
-        k = isqrt(N // 8)
-        if 8 * k * k == N and 2 * k >= 4:
-            tx += 2  # X/p2mm and X/p2gg at labels (2k, 2k)
-    if N % 4 == 0:
-        k = isqrt(N // 4)
-        if 4 * k * k == N and k >= 3:
-            tx += 1  # X/c2mm at (k, k)
-    return t1 + t2 + tx
+    e, (s0, _, odd_square, fy) = _odd_part(N)
+    # the lattices of size x = 2^k y with a reflection or swapturn symmetry,
+    # for the 1 row (x = N) and the . row (x = N/2): rectangular (m >= n,
+    # m n = x), rhombic (m >= n, m n = x/2) and the circle points, less the
+    # one on an axis or diagonal (a square lattice, already counted as
+    # rectangular or rhombic); both rows start at (1, 1), so only their
+    # excluded pairs drop out
+    swapturn = _circle_points(fy, odd_square) - odd_square
+    count = 0
+    for row in (TOROIDAL_FAMILIES["1"], TOROIDAL_FAMILIES["."]):
+        j = row.order_factor.bit_length() - 1
+        if j <= e:
+            k = e - j
+            count += (((k + 1) * s0 + 1) // 2 + (k * s0 + 1) // 2 + swapturn
+                      - sum(m * n == N >> j for m, n in row.excluded))
+    for row in _SQUARE_SELF_MIRROR_ROWS:
+        size, rem = divmod(N, row.order_factor)
+        k = isqrt(size)
+        count += not rem and k * k == size and row.in_range(k, k)
+    return count
 
 
 def brute_force_census(N: int) -> OrderCensus:

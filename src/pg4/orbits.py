@@ -161,11 +161,17 @@ def _canon_sign(q):
 
 
 def induced_group(G: PointGroup) -> Induced3D:
-    """[l, e_m^s] -> [l] and [l, j e_m^s] -> -[l]; kernel <[1, e_n]>."""
+    """[l, e_m^s] -> [l] and [l, j e_m^s] -> -[l]; kernel <[1, e_n]>.
+
+    Only a left tubical group has one; any other group is refused with a
+    ValueError that names its category."""
+    from .classify import category
+    tag = category(G).tag
+    if tag != "tubical-left":
+        raise ValueError(f"induced_group: a {tag} group has no induced 3D group"
+                         " (it needs a left tubical group)")
     els = set()
     for g in G.elements:
-        if g.star:
-            raise ValueError("tubical groups are chiral")
         if not isinstance(g.r, CycloQuat):
             raise ValueError("group does not preserve the standard Hopf bundle")
         els.add((_canon_sign(g.l), g.r.jbit))

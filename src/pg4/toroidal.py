@@ -456,18 +456,18 @@ _DUPLICATION_RULES = {
 
 def _in_order(spec: GroupSpec) -> GroupSpec:
     """The spec with its parameters in standard order: the in-range s of a
-    ``1`` or ``.`` lattice, m >= n in the swap-symmetric ``+/`` families and
-    a >= b for ``L``.  Specs that differ only there are the same group up to
+    family with a shift (``1`` and ``.``), and the leading pair descending in
+    a ``descending`` family (m >= n in the swap-symmetric ``+/`` families,
+    a >= b for ``L``).  Specs that differ only there are the same group up to
     the torus swap."""
-    fam = spec.family
-    p = dict(spec.params)
-    if fam in ("1", ".") and p["m"] >= 1 and p["n"] >= 1:
-        return toroidal_spec(fam, m=p["m"], n=p["n"],
-                             s=_canonical_s(p["m"], p["n"], p["s"] % p["n"]))
-    if fam in ("+/p2mm", "+/p2gg", "+/c2mm") and p["m"] < p["n"]:
-        return toroidal_spec(fam, m=p["n"], n=p["m"])
-    if fam == "L" and p["a"] < p["b"]:
-        return toroidal_spec("L", a=p["b"], b=p["a"])
+    row = TOROIDAL_FAMILIES[spec.family]
+    vals = [v for _, v in spec.params]
+    if len(row.param_names) == 3:
+        m, n, s = vals
+        if m >= 1 and n >= 1:
+            return toroidal_spec(spec.family, m=m, n=n, s=_canonical_s(m, n, s % n))
+    elif row.descending and vals[0] < vals[1]:
+        return toroidal_spec(spec.family, **dict(zip(row.param_names, vals[::-1])))
     return spec
 
 

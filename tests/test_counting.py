@@ -17,8 +17,7 @@ from pg4.counting import (
     OrderError,
     _circle_points,
     _factor,
-    _square_lattices,
-    _unordered_factorizations,
+    _odd_part,
     brute_force_census,
     count_order,
     count_self_mirror,
@@ -70,11 +69,18 @@ def test_cumulative_growth_quadratic():
     assert 0.5 < r1 < 2 and 0.5 < r2 < 2
 
 
+def _mirror_lattices(e, s0, circle):
+    """Mirror-symmetric lattices of size 2^e y, y odd with sigma0(y) = s0:
+    rectangular (m >= n, m n = 2^e y), rhombic (m >= n, m n = 2^(e-1) y) and
+    ``circle`` circle points that are neither."""
+    return ((e + 1) * s0 + 1) // 2 + (e * s0 + 1) // 2 + circle
+
+
 def test_self_mirror():
     assert count_self_mirror(100) == 16
     assert count_self_mirror(1) == 1
-    t1_100 = (_unordered_factorizations(_factor(100)) + _unordered_factorizations(_factor(50))
-              + _circle_points(_factor(100)) - _square_lattices(_factor(100)))
+    e, (s0, _, odd_square, fy) = _odd_part(100)
+    t1_100 = _mirror_lattices(e, s0, _circle_points(fy, odd_square) - odd_square)
     assert t1_100 == 9  # the type-1 part of the 16
 
 
@@ -114,10 +120,9 @@ def test_brute_force_examples():
 def test_quotients_stay_exact_past_2_53(monkeypatch):
     # (2**56 + 2) / 4 is 2**54 as a float, yet N is not a multiple of 4
     N = 2**56 + 2
-    f1, f2, f4, f8 = counting._quotients(N)
-    assert prod(p**e for p, e in f1.items()) == N
-    assert prod(p**e for p, e in f2.items()) == 2**55 + 1
-    assert f4 is None and f8 is None
+    e, (s0, s1, odd_square, fy) = _odd_part(N)
+    assert e == 1 and prod(p**k for p, k in fy.items()) == 2**55 + 1
+    assert s0 == prod(k + 1 for k in fy.values()) and not odd_square
     factored = []
 
     def factor_once(x):
@@ -125,19 +130,16 @@ def test_quotients_stay_exact_past_2_53(monkeypatch):
         return _factor(x)
 
     monkeypatch.setattr(counting, "_factor", factor_once)
-    for f in (f4, f8):  # an absent quotient counts 0 in every helper
-        assert counting._sigma0(f) == 0
-        assert _unordered_factorizations(f) == 0
-        assert _circle_points(f) == 0
-        assert _square_lattices(f) == 0
-    assert factored == []
     t0 = time.perf_counter()
     c = count_order(N)
-    count_self_mirror(N)
+    sm = count_self_mirror(N)
     assert time.perf_counter() - t0 < 1.0
     assert factored == [N, N]  # one factorization per call, none of a quotient
     for key in ("tor:X", "tor:L", "tor:*", "tor:+"):  # each needs 4 | N
         assert c.per_family[key] == 0, key
+    assert (c.total, c.achiral, sm) == (105795287875598060, 96, 96)
+    c = count_order(2**70)
+    assert (c.total, count_self_mirror(2**70)) == (1770887431076116956391, 142)
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,14 @@ def test_induced_groups():
         assert ind.order == order(G) // (2 * n)
 
 
+def test_induced_group_refuses_other_categories():
+    # a ValueError naming the category, not a 3D name (+T) or a bare KeyError
+    for text, tag in (("tor:1:m=1,n=12,s=0", "toroidal"), ("tor:1:m=2,n=5,s=1", "toroidal"),
+                      ("tub:+-[CxI]:n=3", "tubical-right")):
+        with pytest.raises(ValueError, match=tag):
+            induced_group(build(parse_spec(text)))
+
+
 def test_polygon_counts():
     for n in (1, 2, 3, 5, 7, 12):
         sp = tubical_spec("+-[IxC]", n)
