@@ -12,12 +12,14 @@ Families and canonical parameter ranges:
 The family records are the one place for family facts: ``TUBICAL_FAMILIES``
 (order factor, ``n_min``, induced 3D group, generators),
 ``TOROIDAL_FAMILIES`` (parameters, chirality, order factor, parameter range,
-generators) and ``POLYHEDRAL_FAMILIES`` (order, Coxeter alias, and either the
+generators), ``POLYHEDRAL_FAMILIES`` (order, Coxeter alias, and either the
 recipe of a chiral group or the base and fixed reversing element of an
-index-2 extension) hold one row per family; the axial orders and chiralities
-follow from the tags of ``_G3``.
-``build``, ``spec_order``, ``spec_chiral``, ``constraints_ok``,
-classification and counting all read them.
+index-2 extension) and ``AXIAL_FAMILIES`` (pyramidal, prismatic or hybrid,
+over 3D groups whose tags in ``_G3`` give the order and chirality) hold one
+row per family.  ``family_row`` is the one lookup of a spec's row, with both
+tubical variants under their own names; an unknown kind or family is a
+``SpecError``.  ``build``, ``spec_order``, ``spec_chiral``,
+``constraints_ok``, classification, orbits and counting all read it.
 
 ``build`` turns a ``GroupSpec`` into the actual ``PointGroup``; parameter
 constraints follow the overview tables, so the catalog is duplicate-free by
@@ -113,8 +115,13 @@ def tubical_spec(family: str, n: int) -> GroupSpec:
 
 
 def toroidal_spec(family: str, **params) -> GroupSpec:
-    names = TOROIDAL_FAMILIES[family].param_names
-    return GroupSpec("toroidal", family, tuple((k, int(params[k])) for k in names))
+    try:
+        names = TOROIDAL_FAMILIES[family].param_names
+        return GroupSpec("toroidal", family, tuple((k, int(params[k])) for k in names))
+    except KeyError:
+        names = family_row(GroupSpec("toroidal", family)).param_names  # refuses an unknown family
+        missing = [k for k in names if k not in params]
+        raise SpecError(f"toroidal family {family} needs parameters {missing}") from None
 
 
 def polyhedral_spec(name: str) -> GroupSpec:
@@ -134,6 +141,8 @@ class TubicalFamily:
     n_min: int
     induced: str       # G^h on the Hopf sphere
     pairs: Callable    # n -> (l, r) generator pairs of the left variant
+
+    chiral = True      # no tubical group reverses orientation
 
     @property
     def left_type(self) -> str:
@@ -172,36 +181,24 @@ TUBICAL_FAMILIES = {f.name: f for f in (
 
 TUBICAL_LEFT = list(TUBICAL_FAMILIES)
 
-_TUBICAL_MIRROR = {}
-for _f in TUBICAL_FAMILIES.values():
-    _TUBICAL_MIRROR[_f.name] = _f.mirror_name
-    _TUBICAL_MIRROR[_f.mirror_name] = _f.name
-
-
-def tubical_base(family: str) -> str:
-    """Left-variant family id for either chirality."""
-    return family if family in TUBICAL_FAMILIES else _TUBICAL_MIRROR[family]
-
 
 def right_variant(spec: GroupSpec) -> GroupSpec:
     """The mirror tubical family (pair components of every generator swapped)."""
     if spec.kind != "tubical":
         raise SpecError("right_variant expects a tubical spec")
-    return tubical_spec(_TUBICAL_MIRROR[spec.family], spec.param("n"))
+    fam = family_row(spec)
+    mirror = fam.mirror_name if spec.family == fam.name else fam.name
+    return tubical_spec(mirror, spec.param("n"))
 
 
 def tubical_generators(spec: GroupSpec) -> list:
     """The generators of a tubical spec; a right variant has the two sides
     of every left-variant generator swapped."""
-    fam = TUBICAL_FAMILIES[tubical_base(spec.family)]
+    fam = family_row(spec)
     gens = fam.generators(spec.param("n"))
     if spec.family != fam.name:
         gens = [rotation(g.r, g.l) for g in gens]
     return gens
-
-
-def _build_tubical(spec: GroupSpec) -> PointGroup:
-    return generate(tubical_generators(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -389,13 +386,6 @@ def _lattice_size(p: dict) -> int:
     return p["n"] ** 2
 
 
-def _toroidal_family(spec: GroupSpec) -> ToroidalFamily:
-    try:
-        return TOROIDAL_FAMILIES[spec.family]
-    except KeyError:
-        raise SpecError(f"unknown toroidal family {spec.family}") from None
-
-
 # ---------------------------------------------------------------------------
 # polyhedral groups
 
@@ -506,15 +496,12 @@ _G3 = {
     "TO": ("T", "O-T"),
 }
 
-HYBRIDS = [
-    ("+I", "+-I"), ("+-T", "+-O"), ("+O", "+-O"), ("TO", "+-O"),
-    ("+T", "+-T"), ("+T", "+O"), ("+T", "TO"),
-]
-
-
 # the quaternion set of each tag of _G3, built on first use of the tag
 _G3_SETS = {"T": two_T, "O": two_O, "I": two_I, "O-T": lambda: two_O() - two_T(),
             None: frozenset}
+
+# |2T|, |2O|, |2I| and |2O - 2T|, keyed by the tags of _G3
+_G3_SIZES = {"T": 24, "O": 48, "I": 120, "O-T": 24, None: 0}
 
 
 def _g3_sets(name: str):
@@ -523,114 +510,126 @@ def _g3_sets(name: str):
     return _G3_SETS[tag_p](), _G3_SETS[tag_m]()
 
 
-def _axial_elements(kind: str, g3: str, sub: str | None):
-    P, M = _g3_sets(g3)
+@dataclass(frozen=True)
+class AxialFamily:
+    """An axial group: the pyramidal ("pyr") or prismatic ("prism") group of
+    the 3D group ``g3``, or the hybrid ("hyb") of ``g3`` over its index-2
+    subgroup ``sub``; the 3D groups are keys of ``_G3``."""
+
+    kind: str
+    g3: str
+    sub: str | None = None
+
+    @property
+    def name(self) -> str:
+        if self.kind == "hyb":
+            return f"hyb:{self.sub}<{self.g3}"
+        return f"{self.kind}:{self.g3}"
+
+    @property
+    def order(self) -> int:
+        tag_p, tag_m = _G3[self.g3]
+        base = (_G3_SIZES[tag_p] + _G3_SIZES[tag_m]) // 2
+        return base * 2 if self.kind == "prism" else base
+
+    @property
+    def chiral(self) -> bool:
+        """Pyramidal groups are chiral iff the 3D group has no improper part;
+        prismatic groups never are; a hybrid h<g is chiral iff h has no
+        improper part and the same proper part as g."""
+        if self.kind == "prism":
+            return False
+        if self.kind == "pyr":
+            return _G3[self.g3][1] is None
+        return _G3[self.sub][1] is None and _G3[self.sub][0] == _G3[self.g3][0]
+
+
+AXIAL_FAMILIES = {f.name: f for f in (
+    [AxialFamily("pyr", g) for g in _G3]
+    + [AxialFamily("prism", g) for g in _G3]
+    + [AxialFamily("hyb", g, h) for h, g in (
+        ("+I", "+-I"), ("+-T", "+-O"), ("+O", "+-O"), ("TO", "+-O"),
+        ("+T", "+-T"), ("+T", "+O"), ("+T", "TO"),
+    )]
+)}
+
+
+def _axial_elements(fam: AxialFamily):
+    P, M = _g3_sets(fam.g3)
     els = set()
-    if kind == "pyr":
+    if fam.kind == "pyr":
         els.update(Transform4(False, l, l) for l in P)
         els.update(Transform4(True, l, l) for l in M)
-    elif kind == "prism":
+    elif fam.kind == "prism":
         for l in P:
             els.add(Transform4(False, l, l))
             els.add(Transform4(True, l, quat_neg(l)))
         for l in M:
             els.add(Transform4(True, l, l))
             els.add(Transform4(False, l, quat_neg(l)))
-    elif kind == "hyb":
-        PH, MH = _g3_sets(sub)
+    else:  # hybrid
+        PH, MH = _g3_sets(fam.sub)
         els.update(Transform4(False, l, l) for l in PH)
         els.update(Transform4(True, l, l) for l in MH)
         els.update(Transform4(True, l, quat_neg(l)) for l in P - PH)
         els.update(Transform4(False, l, quat_neg(l)) for l in M - MH)
-    else:
-        raise SpecError(f"unknown axial kind {kind}")
     return els
-
-
-def _axial_parse(family: str):
-    kind, rest = family.split(":", 1)
-    if kind == "hyb":
-        sub, g3 = rest.split("<", 1)
-        return kind, g3, sub
-    return kind, rest, None
 
 
 @lru_cache(maxsize=None)
 def _axial_group(family: str) -> PointGroup:
-    return from_elements(_axial_elements(*_axial_parse(family)))
-
-
-# |2T|, |2O|, |2I| and |2O - 2T|, keyed by the tags of _G3
-_G3_SIZES = {"T": 24, "O": 48, "I": 120, "O-T": 24, None: 0}
-
-
-def _axial_order(family: str) -> int:
-    kind, g3, _ = _axial_parse(family)
-    tag_p, tag_m = _G3[g3]
-    base = (_G3_SIZES[tag_p] + _G3_SIZES[tag_m]) // 2
-    return base * 2 if kind == "prism" else base
-
-
-def _axial_chiral(family: str) -> bool:
-    """Pyramidal groups are chiral iff the 3D group has no improper part;
-    prismatic groups never are; a hybrid h<g is chiral iff h has no improper
-    part and the same proper part as g."""
-    kind, g3, sub = _axial_parse(family)
-    if kind == "prism":
-        return False
-    if kind == "pyr":
-        return _G3[g3][1] is None
-    return _G3[sub][1] is None and _G3[sub][0] == _G3[g3][0]
-
-
-AXIAL_FAMILIES = (
-    [f"pyr:{g}" for g in _G3]
-    + [f"prism:{g}" for g in _G3]
-    + [f"hyb:{h}<{g}" for h, g in HYBRIDS]
-)
+    return from_elements(_axial_elements(AXIAL_FAMILIES[family]))
 
 
 # ---------------------------------------------------------------------------
 # build / order / constraints
 
+# the rows of each kind, keyed by family; a tubical row under both variants
+_FAMILY_ROWS = {
+    "tubical": {**TUBICAL_FAMILIES, **{f.mirror_name: f for f in TUBICAL_FAMILIES.values()}},
+    "toroidal": TOROIDAL_FAMILIES,
+    "polyhedral": POLYHEDRAL_FAMILIES,
+    "axial": AXIAL_FAMILIES,
+}
+
+
+def family_row(spec: GroupSpec):
+    """The family record of a spec: a ``TubicalFamily`` (for either variant),
+    ``ToroidalFamily``, ``PolyhedralFamily`` or ``AxialFamily``."""
+    try:
+        return _FAMILY_ROWS[spec.kind][spec.family]
+    except KeyError:
+        raise SpecError(f"unknown {spec.kind} family {spec.family}") from None
+
+
 def spec_order(spec: GroupSpec) -> int:
+    fam = family_row(spec)
     if spec.kind == "tubical":
-        fam = TUBICAL_FAMILIES[tubical_base(spec.family)]
         return fam.order_factor * spec.param("n")
     if spec.kind == "toroidal":
-        return TOROIDAL_FAMILIES[spec.family].order_factor * _lattice_size(dict(spec.params))
-    if spec.kind == "polyhedral":
-        return POLYHEDRAL_ORDERS[spec.family]
-    return _axial_order(spec.family)
+        return fam.order_factor * _lattice_size(dict(spec.params))
+    return fam.order
 
 
 def spec_chiral(spec: GroupSpec) -> bool:
     """True if the catalog group has no orientation-reversing element."""
-    if spec.kind == "tubical":
-        return True
-    if spec.kind == "toroidal":
-        return TOROIDAL_FAMILIES[spec.family].chiral
-    if spec.kind == "polyhedral":
-        return POLYHEDRAL_FAMILIES[spec.family].chiral
-    return _axial_chiral(spec.family)
+    return family_row(spec).chiral
 
 
 def constraints_ok(spec: GroupSpec) -> bool:
+    fam = family_row(spec)
     if spec.kind == "tubical":
-        fam = TUBICAL_FAMILIES[tubical_base(spec.family)]
         return spec.param("n") >= fam.n_min
     if spec.kind == "toroidal":
-        return _toroidal_family(spec).in_range(*[v for _, v in spec.params])
-    if spec.kind == "polyhedral":
-        return spec.family in POLYHEDRAL_ORDERS
-    return spec.family in AXIAL_FAMILIES
+        return fam.in_range(*[v for _, v in spec.params])
+    return True
 
 
 def build_unchecked(spec: GroupSpec) -> PointGroup:
+    fam = family_row(spec)
     if spec.kind == "tubical":
-        return _build_tubical(spec)
+        return generate(tubical_generators(spec))
     if spec.kind == "toroidal":
-        fam = _toroidal_family(spec)
         try:
             gens = fam.generators(*[v for _, v in spec.params])
         except ZeroDivisionError:
@@ -771,12 +770,10 @@ def parse_spec(text: str) -> GroupSpec:
             _, fam, ps = text.split(":", 2)
         except ValueError:
             raise ParseError(f"bad {kind} spec {text!r}") from None
+        if fam not in _FAMILY_ROWS[kind]:
+            raise ParseError(f"unknown {kind} family {fam!r}")
         if kind == "tubical":
-            if fam not in _TUBICAL_MIRROR:  # both variants
-                raise ParseError(f"unknown tubical family {fam!r}")
             return tubical_spec(fam, _parse_params(ps, ("n",))["n"])
-        if fam not in TOROIDAL_FAMILIES:
-            raise ParseError(f"unknown toroidal family {fam!r}")
         return toroidal_spec(fam, **_parse_params(ps, TOROIDAL_FAMILIES[fam].param_names))
     if text.startswith("poly:"):
         name = text[5:]

@@ -27,7 +27,7 @@ from .catalog import (
     TUBICAL_FAMILIES,
     _other_specs_of_order,
     build,
-    tubical_base,
+    family_row,
     tubical_generators,
 )
 from .constants import ONE
@@ -38,6 +38,7 @@ from .group import (
     equals,
     left_right_types,
 )
+from .toroidal import classify_toroidal
 
 
 class ClassificationError(ValueError):
@@ -89,7 +90,7 @@ def _classify_catalog(G: PointGroup, cat: Category) -> GroupSpec:
         ptype = (cat.right if right else cat.left).kind
         candidates = [sp for sp in specs if sp.kind == "tubical"
                       and (sp.family not in TUBICAL_FAMILIES) == right
-                      and TUBICAL_FAMILIES[tubical_base(sp.family)].left_type == ptype]
+                      and family_row(sp).left_type == ptype]
     matches = [sp for sp in candidates if (_holds_generators(G, sp) if sp.kind == "tubical"
                                            else equals(build(sp), G))]
     if len(matches) == 1:
@@ -114,6 +115,5 @@ def _holds_generators(G: PointGroup, spec: GroupSpec) -> bool:
 def classify(G: PointGroup) -> GroupSpec:
     cat = category(G)
     if cat.tag == "toroidal":
-        from .toroidal import classify_toroidal
         return classify_toroidal(G)
     return _classify_catalog(G, cat)

@@ -17,7 +17,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import CycloQuat, FieldElem, HALF, SQRT2, SQRT5, exp_i, quat
+from .algebra import I as QI, J as QJ, K as QK
+from .algebra import MINUS_ONE, ONE, CycloQuat, FieldElem, HALF, SQRT2, SQRT5, exp_i, quat
 from .group import quat_closure
 
 F = FieldElem
@@ -30,11 +31,6 @@ I_I = quat(0, Q(1, 2), (SQRT5 - 1) * Q(1, 4), (SQRT5 + 1) * Q(1, 4))
 I_I_DAG = quat(0, Q(1, 2), (-SQRT5 - 1) * Q(1, 4), (F(1) - SQRT5) * Q(1, 4))
 I_I_PRIME = quat(0, (F(1) - SQRT5) * Q(1, 4), (-SQRT5 - 1) * Q(1, 4), Q(1, 2))
 
-ONE = exp_i(0)
-MINUS_ONE = exp_i(1)
-QI = exp_i(Q(1, 2))
-QJ = CycloQuat(0, 1)
-QK = CycloQuat(Q(1, 2), 1)
 MINUS_J = CycloQuat(1, 1)
 MINUS_K = CycloQuat(Q(3, 2), 1)
 

@@ -368,10 +368,9 @@ def classify_quat_group(S: frozenset) -> QuatGroupType:
         raise ValueError("quaternion group must contain -1")
     if all(isinstance(q, CycloQuat) for q in S):
         return _cyclo_type(n, any(q.jbit for q in S))
-    els = list(S)
-    if all(quat_mul(a, b) == quat_mul(b, a) for a in els for b in els):
-        return QuatGroupType("C", n // 2)  # abelian subgroups of S^3 are cyclic
     maxorder = max(quat_order(q) for q in S)
+    if maxorder == n:
+        return QuatGroupType("C", n // 2)  # an element of order |S| generates S
     if (n, maxorder) == (24, 6):
         return QuatGroupType("T")
     if (n, maxorder) == (48, 8):

@@ -16,7 +16,9 @@ import numpy as np
 from scipy.spatial import HalfspaceIntersection, QhullError, cKDTree
 
 from .algebra import AngleFraction, CycloQuat, angle_of, quat_float4, quat_neg, quat_sign_flip
-from .catalog import GroupSpec, TUBICAL_FAMILIES, build, tubical_base
+from .catalog import GroupSpec, build, family_row
+from .classify import category
+from .constants import two_T
 from .group import PointGroup
 from .hopf import GreatCircle, circle_residual, rotate_s2
 from .transform import apply_columns
@@ -165,7 +167,6 @@ def induced_group(G: PointGroup) -> Induced3D:
 
     Only a left tubical group has one; any other group is refused with a
     ValueError that names its category."""
-    from .classify import category
     tag = category(G).tag
     if tag != "tubical-left":
         raise ValueError(f"induced_group: a {tag} group has no induced 3D group"
@@ -182,7 +183,6 @@ def induced_group(G: PointGroup) -> Induced3D:
 
 
 def _induced_name(proper, improper) -> str:
-    from .constants import two_T
     base = {12: "T", 24: "O", 60: "I"}[len(proper)]
     if not improper:
         return "+" + base
@@ -224,9 +224,7 @@ def center_of(spec: GroupSpec, kind: str) -> np.ndarray:
     if spec.kind != "tubical":
         raise ValueError(f"{spec.spec_string()} is not tubical: rotation centers "
                          "are those of a tubical group's induced 3D group")
-    base = tubical_base(spec.family)
-    induced = TUBICAL_FAMILIES[base].induced
-    return _center_point(induced, kind)
+    return _center_point(family_row(spec).induced, kind)
 
 
 def center_start(spec: GroupSpec, kind: str) -> np.ndarray:
@@ -236,7 +234,7 @@ def center_start(spec: GroupSpec, kind: str) -> np.ndarray:
     point is the left one's mirror image, with the i, j, k coordinates negated.
     """
     v = GreatCircle.make(center_of(spec, kind), [1.0, 0.0, 0.0]).sample(0.05)
-    if spec.family != tubical_base(spec.family):
+    if spec.family != family_row(spec).name:
         v = v * np.array([1.0, -1.0, -1.0, -1.0])
     return v
 
@@ -245,7 +243,7 @@ def _left_center(spec: GroupSpec, kind: str, caller: str) -> np.ndarray:
     """``center_of``, for a left tubical spec only: the orbit circle of a right
     variant lies in the mirror Hopf bundle."""
     p = center_of(spec, kind)
-    if spec.family != tubical_base(spec.family):
+    if spec.family != family_row(spec).name:
         raise ValueError(f"{caller} expects a left tubical group")
     return p
 

@@ -14,25 +14,28 @@ plain int arithmetic.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, lcm
 
-from .algebra import CycloQuat, RepresentationError, _cyc_make
+from .algebra import HALF, SQRT2, CycloQuat, RepresentationError, _cyc_make, quat
 from .catalog import (
     TOROIDAL_FAMILIES,
     GroupSpec,
     SpecError,
     _s_range,
+    _toroidal_specs_of_order,
     build_unchecked,
     constraints_ok,
+    family_row,
     spec_order,
     toroidal_spec,
 )
 from .constants import MINUS_K, ONE, QI, QJ, QK
-from .group import PointGroup, conjugate, equals
-from .transform import Transform4, rotation
+from .group import PointGroup, conjugate, equals, fingerprint
+from .transform import Transform4, compose, conjugate_elem, rotation
 
 # (reversing, jbit_l, jbit_r) -> directional tag
 TAG_OF_BITS = {
@@ -460,7 +463,7 @@ def _in_order(spec: GroupSpec) -> GroupSpec:
     a ``descending`` family (m >= n in the swap-symmetric ``+/`` families,
     a >= b for ``L``).  Specs that differ only there are the same group up to
     the torus swap."""
-    row = TOROIDAL_FAMILIES[spec.family]
+    row = family_row(spec)
     vals = [v for _, v in spec.params]
     if len(row.param_names) == 3:
         m, n, s = vals
@@ -496,7 +499,6 @@ def canonicalize_duplicates(spec: GroupSpec) -> GroupSpec:
 
 def _alt_torus_quats():
     """Representatives of quaternions moving the standard torus axis i."""
-    from .algebra import HALF, SQRT2, quat
     h2 = HALF * SQRT2
     return [
         ONE,
@@ -567,7 +569,6 @@ def _delta_candidates(tag: str, src: TorusElement, targets) -> list:
 
 
 def _probe_equal(G1: PointGroup, G2: PointGroup, h: Transform4) -> bool:
-    from .transform import conjugate_elem
     probes = sorted(G2.elements, key=lambda g: (not g.star, g._hash))[:4]
     try:
         if any(conjugate_elem(g, h) not in G1.elements for g in probes):
@@ -579,8 +580,6 @@ def _probe_equal(G1: PointGroup, G2: PointGroup, h: Transform4) -> bool:
 
 def _standard_conjugator(G1: PointGroup, G2: PointGroup):
     """Torus-preserving h (directional part + origin shift) with h^-1 G2 h = G1."""
-    from collections import Counter
-    from .transform import compose
     try:
         reps1 = to_torus_rep(G1)
     except NotToroidalError:
@@ -620,7 +619,6 @@ def _built(spec: GroupSpec) -> PointGroup:
 
 @lru_cache(maxsize=None)
 def _fp_string(spec: GroupSpec) -> str:
-    from .group import fingerprint
     return str(fingerprint(_built(spec)))
 
 
@@ -638,7 +636,6 @@ def duplication_conjugator(spec1: GroupSpec, spec2: GroupSpec):
     A single transformation when the composite is exactly representable,
     otherwise the exact two-step chain (alternate-torus part, standard part).
     """
-    from .transform import compose
     G1 = _built(spec1)
     G2 = _built(spec2)
     if len(G1.elements) != len(G2.elements):
@@ -671,7 +668,6 @@ def _searched_duplicate(spec: GroupSpec):
     The reference that the tests check ``_DUPLICATION_RULES`` against; no
     library path calls it.  It builds and fingerprints every candidate, so it
     costs seconds per spec at parameters near 40."""
-    from .catalog import _toroidal_specs_of_order
     fp = _fp_string(spec)
     for cand in _toroidal_specs_of_order(spec_order(spec)):
         if _fp_string(cand) == fp and duplication_conjugator(spec, cand) is not None:

@@ -169,7 +169,6 @@ def test_polyhedral_achiral_halves():
 
 
 def test_axial_orders():
-    from pg4.catalog import _axial_order
     expected = {
         "pyr:+-I": 120, "pyr:+I": 60, "pyr:+-O": 48, "pyr:+O": 24,
         "pyr:TO": 24, "pyr:+-T": 24, "pyr:+T": 12,
@@ -180,8 +179,8 @@ def test_axial_orders():
     }
     assert len(AXIAL_FAMILIES) == 21
     for fam in AXIAL_FAMILIES:
-        # _axial_order counts from the fixed sizes of 2T, 2O, 2I without building
-        assert order(build(GroupSpec("axial", fam))) == expected[fam] == _axial_order(fam)
+        # the row's order counts from the fixed sizes of 2T, 2O, 2I without building
+        assert order(build(GroupSpec("axial", fam))) == expected[fam] == AXIAL_FAMILIES[fam].order
 
 
 # sha256 of "<spec>\t<fingerprint>" lines of the 46 finite groups, recorded
@@ -299,6 +298,26 @@ def test_constraints():
     for fn in (build_unchecked, constraints_ok):
         with pytest.raises(SpecError, match="unknown toroidal family Q"):
             fn(unknown)
+
+
+def test_unknown_kind_or_family_is_a_spec_error():
+    from pg4.catalog import build_unchecked, constraints_ok, tubical_generators
+    from pg4.toroidal import canonicalize_duplicates
+    specs = [GroupSpec("tubical", "Q", (("n", 1),)),
+             GroupSpec("toroidal", "Q", (("m", 1), ("n", 1))),
+             GroupSpec("polyhedral", "Q"), GroupSpec("axial", "pyr:Q"), GroupSpec("axial", "Q"),
+             GroupSpec("prism", "Q")]   # an unknown kind
+    for sp in specs:
+        fns = [spec_order, spec_chiral, constraints_ok, build, build_unchecked]
+        fns += {"tubical": [tubical_generators, right_variant],
+                "toroidal": [canonicalize_duplicates]}.get(sp.kind, [])
+        for fn in fns:
+            with pytest.raises(SpecError, match=re.escape(f"unknown {sp.kind} family {sp.family}")):
+                fn(sp)
+    with pytest.raises(SpecError, match="unknown toroidal family Q"):
+        toroidal_spec("Q", m=1)
+    with pytest.raises(SpecError, match=re.escape("toroidal family 1 needs parameters ['s']")):
+        toroidal_spec("1", m=1, n=1)
 
 
 def test_parse_spec_grammar():

@@ -9,8 +9,6 @@ from pg4.catalog import (
     AXIAL_FAMILIES,
     POLYHEDRAL_FAMILIES,
     TUBICAL_FAMILIES,
-    _axial_chiral,
-    _axial_order,
     spec_order,
 )
 from pg4.counting import (
@@ -207,10 +205,10 @@ def _reference(N, divisors):
     f["tubical"] = 2 * sum(1 for t in TUBICAL_FAMILIES.values()
                            if N % t.order_factor == 0 and N // t.order_factor >= t.n_min)
     poly = [p for p in POLYHEDRAL_FAMILIES.values() if p.order == N]
-    axial = [a for a in AXIAL_FAMILIES if _axial_order(a) == N]
+    axial = [a for a in AXIAL_FAMILIES.values() if a.order == N]
     f["polyhedral"], f["axial"] = len(poly), len(axial)
     achiral = (f["tor:|"] + f["tor:+"] + f["tor:L"] + f["tor:*"]
-               + sum(not p.chiral for p in poly) + sum(not _axial_chiral(a) for a in axial))
+               + sum(not p.chiral for p in poly) + sum(not a.chiral for a in axial))
 
     def mirror_part(x, y):  # the type-1 terms on lattice size x, with y = x / 2 or 0
         return ((sigma0(x) + 1) // 2 + (sigma0(y) + 1) // 2
