@@ -264,9 +264,6 @@ class AngleFraction:
     def __hash__(self):
         return hash(self.t)
 
-    def radians(self) -> float:
-        return float(self.t) * pi
-
     def __repr__(self):
         return f"AngleFraction({self.t})"
 

@@ -16,10 +16,12 @@ generators), ``POLYHEDRAL_FAMILIES`` (order, Coxeter alias, and either the
 recipe of a chiral group or the base and fixed reversing element of an
 index-2 extension) and ``AXIAL_FAMILIES`` (pyramidal, prismatic or hybrid,
 over 3D groups whose tags in ``_G3`` give the order and chirality) hold one
-row per family.  ``family_row`` is the one lookup of a spec's row, with both
-tubical variants under their own names; an unknown kind or family is a
-``SpecError``.  ``build``, ``spec_order``, ``spec_chiral``,
-``constraints_ok``, classification, orbits and counting all read it.
+row per family.  ``family_row`` is the one lookup of a spec's row (both
+tubical variants under their own names), read by everything that needs a
+family fact; an unknown kind or family is a ``SpecError``.  ``make_spec``
+is the one checked spec constructor, called by the ``*_spec`` helpers and
+``parse_spec``.  The per-order enumerators make specs already in
+``GroupSpec`` order, so ``list_catalog`` sorts nothing.
 
 ``build`` turns a ``GroupSpec`` into the actual ``PointGroup``; parameter
 constraints follow the overview tables, so the catalog is duplicate-free by
@@ -79,27 +81,16 @@ class GroupSpec:
     params: tuple = ()   # ordered ((name, value), ...)
 
     def param(self, name: str) -> int:
-        for k, v in self.params:
-            if k == name:
-                return v
-        raise KeyError(name)
+        return dict(self.params)[name]
 
     def spec_string(self) -> str:
-        if self.kind == "tubical":
-            return f"tub:{self.family}:n={self.param('n')}"
-        if self.kind == "toroidal":
-            ps = ",".join(f"{k}={v}" for k, v in self.params)
-            return f"tor:{self.family}:{ps}"
-        if self.kind == "polyhedral":
-            return f"poly:{self.family}"
-        kind, g3 = self.family.split(":", 1)
-        if kind == "hyb":
-            h, g = g3.split("<", 1)
-            return f"axial:hyb:{h}:in={g}"
-        return f"axial:{kind}:{g3}"
+        """The CLI text of the spec, formatted from its family row."""
+        row = family_row(self)
+        ps = ",".join(f"{k}={v}" for k, v in self.params)
+        text = f"{_PREFIXES[self.kind]}:{row.spec_text if self.kind == 'axial' else self.family}"
+        return f"{text}:{ps}" if ps else text
 
-    def __str__(self):
-        return self.spec_string()
+    __str__ = spec_string
 
 
 class SpecError(ValueError):
@@ -110,22 +101,33 @@ class ParseError(SpecError):
     pass
 
 
+def make_spec(kind: str, family: str, /, **params) -> GroupSpec:
+    """The one checked spec constructor: the family's row must exist and
+    ``params`` be exactly its ``param_names``, each an ``int`` (not a
+    ``bool``).  Ranges are left to ``constraints_ok``."""
+    names = family_row(GroupSpec(kind, family)).param_names
+    for k, v in params.items():
+        if k not in names:
+            raise SpecError(f"unknown parameter {k!r} of {kind} family {family}: "
+                            f"expected {', '.join(names) or 'none'}")
+        if type(v) is not int:
+            raise SpecError(f"{kind} family {family}: parameter {k}={v!r} is not an int")
+    if len(params) < len(names):
+        missing = [k for k in names if k not in params]
+        raise SpecError(f"{kind} family {family} needs parameters {missing}")
+    return GroupSpec(kind, family, tuple((k, params[k]) for k in names))
+
+
 def tubical_spec(family: str, n: int) -> GroupSpec:
-    return GroupSpec("tubical", family, (("n", n),))
+    return make_spec("tubical", family, n=n)
 
 
 def toroidal_spec(family: str, **params) -> GroupSpec:
-    try:
-        names = TOROIDAL_FAMILIES[family].param_names
-        return GroupSpec("toroidal", family, tuple((k, int(params[k])) for k in names))
-    except KeyError:
-        names = family_row(GroupSpec("toroidal", family)).param_names  # refuses an unknown family
-        missing = [k for k in names if k not in params]
-        raise SpecError(f"toroidal family {family} needs parameters {missing}") from None
+    return make_spec("toroidal", family, **params)
 
 
 def polyhedral_spec(name: str) -> GroupSpec:
-    return GroupSpec("polyhedral", name)
+    return make_spec("polyhedral", name)
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +145,7 @@ class TubicalFamily:
     pairs: Callable    # n -> (l, r) generator pairs of the left variant
 
     chiral = True      # no tubical group reverses orientation
+    param_names = ("n",)
 
     @property
     def left_type(self) -> str:
@@ -194,6 +197,8 @@ def right_variant(spec: GroupSpec) -> GroupSpec:
 def tubical_generators(spec: GroupSpec) -> list:
     """The generators of a tubical spec; a right variant has the two sides
     of every left-variant generator swapped."""
+    if spec.kind != "tubical":
+        raise SpecError("tubical_generators expects a tubical spec")
     fam = family_row(spec)
     gens = fam.generators(spec.param("n"))
     if spec.family != fam.name:
@@ -435,6 +440,7 @@ class PolyhedralFamily:
     recipe: Callable | None = None   # () -> the chiral group
     base: str | None = None
     ext: Transform4 | None = None
+    param_names = ()
 
     @property
     def chiral(self) -> bool:
@@ -519,12 +525,18 @@ class AxialFamily:
     kind: str
     g3: str
     sub: str | None = None
+    param_names = ()
 
     @property
     def name(self) -> str:
         if self.kind == "hyb":
             return f"hyb:{self.sub}<{self.g3}"
         return f"{self.kind}:{self.g3}"
+
+    @property
+    def spec_text(self) -> str:
+        """The spec text after ``axial:``, e.g. ``pyr:+T`` or ``hyb:+T:in=TO``."""
+        return self.name.replace("<", ":in=")
 
     @property
     def order(self) -> int:
@@ -692,129 +704,118 @@ def cs_name_type1(spec: GroupSpec) -> str:
         m_cs = m * f
         s_cs = ((-2 * f * s - m_cs) // n) % (2 * f)
         pre = "+"
-    sup = f"({s_cs})"
-    name_m = m_cs
-    frac = f"1/{f}" if f > 1 else ""
-    sup = sup if f > 1 else ""
-    return f"{pre}{frac}[C{name_m}{sup}xC{n}]"
+    frac, sup = (f"1/{f}", f"({s_cs})") if f > 1 else ("", "")
+    return f"{pre}{frac}[C{m_cs}{sup}xC{n}]"
 
 
 # ---------------------------------------------------------------------------
 # catalog enumeration
 
-def _toroidal_specs_of_order(N: int):
+# the toroidal rows, and both variants of each tubical row, in family order
+_TOROIDAL_SORTED = [TOROIDAL_FAMILIES[f] for f in sorted(TOROIDAL_FAMILIES)]
+_TUBICAL_SORTED = sorted((name, f.order_factor, f.n_min)
+                         for name, f in _FAMILY_ROWS["tubical"].items())
+
+
+def _toroidal_specs_of_order(N: int) -> list:
+    """The toroidal specs of order N in ``GroupSpec`` order: families by
+    name, then parameters ascending.  Each spec is made directly from the
+    row's ``param_names``, since the row's range holds for it."""
     specs = []
-    for fam, info in TOROIDAL_FAMILIES.items():
-        if N % info.order_factor:
+    for row in _TOROIDAL_SORTED:
+        size, rem = divmod(N, row.order_factor)
+        if rem:
             continue
-        size = N // info.order_factor
-        names = info.param_names
-        if names[0] == "m":
-            for m in range(1, size + 1):
-                n = size // m
-                if size % m or not info.in_range(m, n):
-                    continue
-                if names == ("m", "n"):
-                    specs.append(toroidal_spec(fam, m=m, n=n))
-                else:
-                    specs += [toroidal_spec(fam, m=m, n=n, s=s) for s in _s_range(m, n)]
-        elif names == ("a", "b"):
-            for b in range(isqrt(size // 2) + 1):
-                a2 = size - b * b
-                a = isqrt(a2)
-                if a * a == a2 and info.in_range(a, b):
-                    specs.append(toroidal_spec(fam, a=a, b=b))
-        else:  # ("n",)
+        names = row.param_names
+        if names == ("n",):
             k = isqrt(size)
-            if k * k == size and info.in_range(k):
-                specs.append(toroidal_spec(fam, n=k))
+            params = [(k,)] if k * k == size and row.in_range(k) else []
+        elif names == ("a", "b"):  # a >= b, so b descending puts a ascending
+            params = [(isqrt(size - b * b), b) for b in range(isqrt(size // 2), -1, -1)]
+            params = [(a, b) for a, b in params if a * a + b * b == size and row.in_range(a, b)]
+        else:  # m n = size from the divisors d <= isqrt(size), m ascending
+            small = [(d, size // d) for d in range(1, isqrt(size) + 1) if not size % d]
+            pairs = small + [(n, m) for m, n in reversed(small) if m != n]
+            params = [(m, n) for m, n in pairs if row.in_range(m, n)]
+            if len(names) == 3:
+                params = [(m, n, s) for m, n in params for s in _s_range(m, n)]
+        specs += [GroupSpec("toroidal", row.family, tuple(zip(names, p))) for p in params]
     return specs
 
 
-# the polyhedral and axial specs, keyed by order
+# the polyhedral and axial specs, keyed by order, each list in GroupSpec order
 _FINITE_BY_ORDER = {}
-for _sp in ([polyhedral_spec(name) for name in POLYHEDRAL_FAMILIES]
-            + [GroupSpec("axial", fam) for fam in AXIAL_FAMILIES]):
+for _sp in sorted([polyhedral_spec(name) for name in POLYHEDRAL_FAMILIES]
+                  + [GroupSpec("axial", fam) for fam in AXIAL_FAMILIES]):
     _FINITE_BY_ORDER.setdefault(spec_order(_sp), []).append(_sp)
 
 
+def _tubical_specs_of_order(N: int) -> list:
+    """The tubical specs of order N, both variants, in ``GroupSpec`` order;
+    made directly, since ``count_order`` reads them on every call."""
+    return [GroupSpec("tubical", name, (("n", N // f),))
+            for name, f, n_min in _TUBICAL_SORTED if not N % f and N // f >= n_min]
+
+
 def _other_specs_of_order(N: int) -> list:
-    """The tubical specs of order N in both variants, then the polyhedral and
-    axial specs of order N."""
-    specs = []
-    for fam in TUBICAL_FAMILIES.values():
-        n, rem = divmod(N, fam.order_factor)
-        if not rem and n >= fam.n_min:
-            specs += [tubical_spec(fam.name, n), tubical_spec(fam.mirror_name, n)]
-    return specs + _FINITE_BY_ORDER.get(N, [])
+    """The polyhedral and axial specs of order N, then its tubical specs."""
+    return _FINITE_BY_ORDER.get(N, []) + _tubical_specs_of_order(N)
 
 
 def list_catalog(max_order: int):
     """All catalog specs with order <= max_order, duplicate-free: by order,
-    then in ``GroupSpec`` order (kind, family, params)."""
+    then in ``GroupSpec`` order (kind, family, params).  Each order's specs
+    are emitted in that order: axial and polyhedral, toroidal, tubical."""
     specs = []
     for N in range(1, max_order + 1):
-        specs += sorted(_toroidal_specs_of_order(N) + _other_specs_of_order(N))
+        specs += _FINITE_BY_ORDER.get(N, [])
+        specs += _toroidal_specs_of_order(N)
+        specs += _tubical_specs_of_order(N)
     return specs
 
 
 # ---------------------------------------------------------------------------
 # spec-string grammar
 
+_PREFIXES = {"tubical": "tub", "toroidal": "tor", "polyhedral": "poly", "axial": "axial"}
+_KINDS = {prefix: kind for kind, prefix in _PREFIXES.items()}
+
+# the family named by each Coxeter alias and each axial spec text
+_ALIASES = {"polyhedral": {f.coxeter: f.name for f in POLYHEDRAL_FAMILIES.values()},
+            "axial": {f.spec_text: f.name for f in AXIAL_FAMILIES.values()}}
+
+
 def parse_spec(text: str) -> GroupSpec:
     """Parse the CLI grammar, e.g. tub:+-[IxC]:n=5 or tor:1:m=2,n=5,s=1."""
     text = text.strip()
-    kind = {"tub:": "tubical", "tor:": "toroidal"}.get(text[:4])
-    if kind:
-        try:
-            _, fam, ps = text.split(":", 2)
-        except ValueError:
-            raise ParseError(f"bad {kind} spec {text!r}") from None
-        if fam not in _FAMILY_ROWS[kind]:
-            raise ParseError(f"unknown {kind} family {fam!r}")
-        if kind == "tubical":
-            return tubical_spec(fam, _parse_params(ps, ("n",))["n"])
-        return toroidal_spec(fam, **_parse_params(ps, TOROIDAL_FAMILIES[fam].param_names))
-    if text.startswith("poly:"):
-        name = text[5:]
-        name = next((f.name for f in POLYHEDRAL_FAMILIES.values() if f.coxeter == name), name)
-        if name not in POLYHEDRAL_FAMILIES:
-            raise ParseError(f"unknown polyhedral group {name!r}")
-        return polyhedral_spec(name)
-    if text.startswith("axial:"):
-        parts = text.split(":")
-        if len(parts) == 3:
-            kind, g3 = parts[1], parts[2]
-            fam = f"{kind}:{g3}"
-        elif len(parts) == 4 and parts[3].startswith("in="):
-            fam = f"hyb:{parts[2]}<{parts[3][3:]}"
-        else:
-            raise ParseError(f"bad axial spec {text!r}")
-        if fam not in AXIAL_FAMILIES:
-            raise ParseError(f"unknown axial group {fam!r}")
-        return GroupSpec("axial", fam)
-    raise ParseError(f"unrecognized spec {text!r}")
+    prefix, _, rest = text.partition(":")
+    kind = _KINDS.get(prefix)
+    if kind is None:
+        raise ParseError(f"unrecognized spec {text!r}")
+    if kind in _ALIASES:
+        family, ps = _ALIASES[kind].get(rest, rest), ""
+    else:
+        family, _, ps = rest.partition(":")
+    try:
+        return make_spec(kind, family, **_parse_params(ps))
+    except SpecError as e:
+        raise ParseError(str(e)) from None
 
 
 _INT_RE = re.compile(r"[+-]?[0-9]+")
 
 
-def _parse_params(ps: str, names: tuple) -> dict:
-    """``name=INT`` items, comma-separated: each of ``names`` exactly once, and
-    nothing else; INT is an optional sign and ASCII digits."""
+def _parse_params(ps: str) -> dict:
+    """``name=INT`` items, comma-separated, each name once; INT is an optional
+    sign and ASCII digits.  ``make_spec`` checks the names."""
     params = {}
     for item in ps.split(",") if ps else ():
         if "=" not in item:
             raise ParseError(f"bad parameter {item!r}")
         k, v = (x.strip() for x in item.split("=", 1))
-        if k not in names:
-            raise ParseError(f"unknown parameter {k!r}: expected {', '.join(names)}")
         if k in params:
             raise ParseError(f"parameter {k!r} given twice")
         if not _INT_RE.fullmatch(v):
             raise ParseError(f"bad integer in {item!r}")
         params[k] = int(v)
-    missing = [k for k in names if k not in params]
-    if missing:
-        raise ParseError(f"missing parameters {missing}")
     return params

@@ -131,7 +131,7 @@ def _cmd_catalog(args):
         if sp.kind == "toroidal" and sp.family == "1" and args.cs_names:
             row["cs_name"] = cs_name_type1(sp)
         if sp.kind == "polyhedral":
-            row["coxeter"] = catalog.POLYHEDRAL_FAMILIES[sp.family].coxeter
+            row["coxeter"] = catalog.family_row(sp).coxeter
         _emit(row)
 
 

@@ -308,16 +308,25 @@ def test_unknown_kind_or_family_is_a_spec_error():
              GroupSpec("polyhedral", "Q"), GroupSpec("axial", "pyr:Q"), GroupSpec("axial", "Q"),
              GroupSpec("prism", "Q")]   # an unknown kind
     for sp in specs:
-        fns = [spec_order, spec_chiral, constraints_ok, build, build_unchecked]
+        fns = [spec_order, spec_chiral, constraints_ok, build, build_unchecked, str]
         fns += {"tubical": [tubical_generators, right_variant],
                 "toroidal": [canonicalize_duplicates]}.get(sp.kind, [])
         for fn in fns:
             with pytest.raises(SpecError, match=re.escape(f"unknown {sp.kind} family {sp.family}")):
                 fn(sp)
-    with pytest.raises(SpecError, match="unknown toroidal family Q"):
-        toroidal_spec("Q", m=1)
-    with pytest.raises(SpecError, match=re.escape("toroidal family 1 needs parameters ['s']")):
-        toroidal_spec("1", m=1, n=1)
+    for make, message in (
+            (lambda: toroidal_spec("Q", m=1), "unknown toroidal family Q"),
+            (lambda: tubical_spec("nope", 3), "unknown tubical family nope"),
+            (lambda: polyhedral_spec("nope"), "unknown polyhedral family nope"),
+            (lambda: toroidal_spec("1", m=1, n=1), "toroidal family 1 needs parameters ['s']"),
+            (lambda: toroidal_spec("1", m=1, n=1, s=0, x=5), "unknown parameter 'x'"),
+            (lambda: tubical_spec("+-[IxC]", "5"), "is not an int"),
+            (lambda: toroidal_spec("1", m=True, n=1, s=0), "is not an int"),
+            (lambda: parse_spec("tor:1:kind=3,m=1,n=1,s=0"), "unknown parameter 'kind'"),
+            (lambda: tubical_generators(polyhedral_spec("+-[IxI]")),
+             "tubical_generators expects a tubical spec")):
+        with pytest.raises(SpecError, match=re.escape(message)):
+            make()
 
 
 def test_parse_spec_grammar():
