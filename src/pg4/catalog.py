@@ -780,8 +780,10 @@ def list_catalog(max_order: int):
 _PREFIXES = {"tubical": "tub", "toroidal": "tor", "polyhedral": "poly", "axial": "axial"}
 _KINDS = {prefix: kind for kind, prefix in _PREFIXES.items()}
 
-# the family named by each Coxeter alias and each axial spec text
-_ALIASES = {"polyhedral": {f.coxeter: f.name for f in POLYHEDRAL_FAMILIES.values()},
+# the family named by each spec text: a polyhedral name or Coxeter alias, and
+# an axial family's spec text (never its internal key)
+_ALIASES = {"polyhedral": {**{f.name: f.name for f in POLYHEDRAL_FAMILIES.values()},
+                           **{f.coxeter: f.name for f in POLYHEDRAL_FAMILIES.values()}},
             "axial": {f.spec_text: f.name for f in AXIAL_FAMILIES.values()}}
 
 
@@ -793,7 +795,9 @@ def parse_spec(text: str) -> GroupSpec:
     if kind is None:
         raise ParseError(f"unrecognized spec {text!r}")
     if kind in _ALIASES:
-        family, ps = _ALIASES[kind].get(rest, rest), ""
+        family, ps = _ALIASES[kind].get(rest), ""
+        if family is None:
+            raise ParseError(f"unknown {kind} family {rest}")
     else:
         family, _, ps = rest.partition(":")
     try:

@@ -2,9 +2,12 @@
 
 The coarse category comes from the left and right quaternion groups: both
 cyclic/dihedral means toroidal, exactly one polyhedral means tubical, both
-polyhedral means polyhedral-or-axial.  Inputs must be in standard position
-(invariant torus T_i^i, Hopf bundle H^i, or the standard quaternion groups);
-there is no general O(4) conjugacy search.
+polyhedral means polyhedral-or-axial.  An encoded group (``cyclo_codes``) has
+only CycloQuat components, so its sides are cyclic or dihedral: ``classify``
+hands it to ``classify_toroidal``, which reads its codes, without reading the
+side types.  Any other group goes through ``category``.  Inputs must be in
+standard position (invariant torus T_i^i, Hopf bundle H^i, or the standard
+quaternion groups); there is no general O(4) conjugacy search.
 
 A tubical, polyhedral or axial group is named as the one catalog spec of its
 order, among the specs of ``catalog._other_specs_of_order(len(G))`` on the
@@ -113,6 +116,8 @@ def _holds_generators(G: PointGroup, spec: GroupSpec) -> bool:
 
 
 def classify(G: PointGroup) -> GroupSpec:
+    if G.cyclo_codes is not None:  # CycloQuat sides only: C or D, so toroidal
+        return classify_toroidal(G)
     cat = category(G)
     if cat.tag == "toroidal":
         return classify_toroidal(G)

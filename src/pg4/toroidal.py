@@ -9,7 +9,14 @@ All torus data here lives in units of 2*pi.  A translation is a pair of ints
 (u1, u2) modulo one positive modulus den, standing for (u1/den, u2/den) mod 1;
 ``to_torus_rep`` puts every element of a group over the same modulus, twice
 the lcm of the group's angle denominators, so lattice and mirror tests are
-plain int arithmetic.
+plain int arithmetic.  ``_translations`` holds the eight-tag translation
+formula for every path.
+
+``classify_toroidal`` reads one compact view, ``(den, {tag: [(u1, u2), ...]})``.
+An encoded group gives it from its closure codes: den is 2D, and the codes,
+grouped once by (star, b_l, b_r), give the translations of each tag from
+(k_l, k_r).  An element-backed group gives it through ``to_torus_rep``.  The
+classification itself makes no ``TorusElement``.
 """
 
 from __future__ import annotations
@@ -118,27 +125,36 @@ def torus_element(g: Transform4, den: int | None = None) -> TorusElement:
     return _torus_element(g.star, l.jbit, r.jbit, a, b, den)
 
 
+# tag -> the translation (u1, u2) of [exp(2πi a/den) j^jl, exp(2πi b/den) j^jr]:
+# each coordinate as its coefficients of (a, b, h), with h = den/2
+_TRANSLATION = {
+    "1": ((-1, 1, 0), (-1, -1, 0)),
+    ".": ((1, -1, 0), (1, 1, 0)),
+    "/": ((-1, -1, 1), (-1, 1, 0)),
+    "\\": ((1, 1, 0), (1, -1, 1)),
+    "|": ((-1, 1, 0), (-1, -1, 1)),
+    "-": ((1, -1, 0), (1, 1, -1)),
+    "L": ((1, 1, -1), (1, -1, 1)),
+    "R": ((-1, -1, 0), (-1, 1, 0)),
+}
+
+
+def _translations(tag: str, codes, den: int) -> list:
+    """The translations (u1, u2), 0 <= u < den, of the elements with codes
+    (star, a, jl, b, jr) over den, all of directional part tag: the
+    eight-tag formula."""
+    h = den // 2
+    (p1, q1, c1), (p2, q2, c2) = _TRANSLATION[tag]
+    c1, c2 = c1 * h, c2 * h
+    return [((p1 * a + q1 * b + c1) % den, (p2 * a + q2 * b + c2) % den)
+            for _, a, _, b, _ in codes]
+
+
 def _torus_element(star, jl: int, jr: int, a: int, b: int, den: int) -> TorusElement:
     """The torus element of [exp(2πi a/den) j^jl, exp(2πi b/den) j^jr], reversing if star."""
-    h = den // 2
     tag = TAG_OF_BITS[(star, jl, jr)]
-    if tag == "1":
-        t1, t2 = b - a, -a - b
-    elif tag == ".":
-        t1, t2 = a - b, a + b
-    elif tag == "/":
-        t1, t2 = h - a - b, b - a
-    elif tag == "\\":
-        t1, t2 = a + b, a - b + h
-    elif tag == "|":
-        t1, t2 = b - a, h - a - b
-    elif tag == "-":
-        t1, t2 = a - b, a + b - h
-    elif tag == "L":
-        t1, t2 = a + b - h, a - b + h
-    else:  # "R"
-        t1, t2 = -a - b, b - a
-    return TorusElement(tag, t1 % den, t2 % den, den)
+    [(u1, u2)] = _translations(tag, ((star, a, jl, b, jr),), den)
+    return TorusElement(tag, u1, u2, den)
 
 
 def to_torus_rep(G: PointGroup) -> list:
@@ -155,6 +171,35 @@ def to_torus_rep(G: PointGroup) -> list:
     return [torus_element(g, den) for g in G.elements]
 
 
+def _torus_view(G: PointGroup) -> tuple:
+    """``(den, {tag: [(u1, u2), ...]})``: the translations of G's elements by
+    directional tag, all over one modulus den.
+
+    An encoded group is read from its codes, grouped once by (star, b_l, b_r):
+    den is 2D and the angles are (k_l, k_r).  An element-backed group is read
+    through ``to_torus_rep``."""
+    if G.cyclo_codes is None:
+        reps = to_torus_rep(G)
+        by_tag = {}
+        for r in reps:
+            by_tag.setdefault(r.tag, []).append((r.u1, r.u2))
+        return reps[0].den, by_tag
+    D, codes = G.cyclo_codes
+    by_bits = {}
+    for c in codes:
+        bits = c[0], c[2], c[4]
+        if bits in by_bits:
+            by_bits[bits].append(c)
+        else:
+            by_bits[bits] = [c]
+    den = 2 * D
+    by_tag = {}
+    for bits, group in by_bits.items():
+        tag = TAG_OF_BITS[bits]
+        by_tag[tag] = _translations(tag, group, den)
+    return den, by_tag
+
+
 # ---------------------------------------------------------------------------
 # translation lattices
 
@@ -165,22 +210,19 @@ class TorusLattice:
     s: int
 
 
-def _lattice_points(translations):
-    """(pts, den): the translations and the origin as int pairs over one modulus."""
-    dens = {t.den for t in translations}
-    if len(dens) > 1:
-        den = lcm(*dens)
-        translations = [t.lifted(den) for t in translations]
-    else:
-        den = dens.pop() if dens else 1
-    pts = {(t.u1, t.u2) for t in translations}
+def _lattice_points(translations) -> set:
+    """The translations, int pairs over one modulus, and the origin."""
+    pts = set(translations)
     pts.add((0, 0))
-    return pts, den
+    return pts
 
 
 def normalize_lattice(translations) -> TorusLattice:
-    """Unique (m, n, s) of a translation lattice, s in the canonical range."""
-    return _lattice_params(*_lattice_points(translations))
+    """Unique (m, n, s) of a lattice of ``TorusElement`` translations, s in the
+    canonical range; the elements may have different moduli."""
+    den = lcm(*{t.den for t in translations})
+    return _lattice_params(_lattice_points(
+        (t.u1 * (den // t.den), t.u2 * (den // t.den)) for t in translations), den)
 
 
 def _lattice_params(pts: set, den: int) -> TorusLattice:
@@ -236,16 +278,16 @@ def _diag_counts(pts, den):
 _SWAPPED_TAG = {"|": "-", "-": "|", "L": "R", "R": "L"}
 
 
-def _has_mirror(by_tag, tag: str) -> bool:
+def _has_mirror(by_tag, tag: str, den: int) -> bool:
     """Some element with directional part tag fixes a line: a mirror, not a glide."""
-    reps = by_tag[tag]
+    pts = by_tag[tag]
     if tag == "|":
-        return any(r.u2 == 0 for r in reps)
+        return any(u2 == 0 for u1, u2 in pts)
     if tag == "-":
-        return any(r.u1 == 0 for r in reps)
+        return any(u1 == 0 for u1, u2 in pts)
     if tag == "/":
-        return any((r.u1 + r.u2) % r.den == 0 for r in reps)
-    return any(r.u1 == r.u2 for r in reps)  # "\\"
+        return any((u1 + u2) % den == 0 for u1, u2 in pts)
+    return any(u1 == u2 for u1, u2 in pts)  # "\\"
 
 
 def _one_mirror_subtype(mirror: bool, rhombic: bool) -> str:
@@ -261,16 +303,17 @@ def _two_mirror_subtype(mirror_a: bool, mirror_b: bool, rhombic: bool) -> str:
 
 
 def classify_toroidal(G: PointGroup) -> GroupSpec:
-    """The catalog spec of G, read from its torus data ``to_torus_rep(G)`` alone."""
-    reps = to_torus_rep(G)
-    tags = frozenset(r.tag for r in reps)
+    """The catalog spec of G, read from its torus view ``_torus_view(G)`` alone:
+    the closure codes of an encoded group, else ``to_torus_rep(G)``.  The
+    tags pick the family, the ``1`` translations give the lattice, and the
+    wallpaper subtype comes from which mirror lines hold an element."""
+    den, by_tag = _torus_view(G)
+    tags = frozenset(by_tag)
     if tags == {"1", "-"}:  # read the group as its torus swap, a |/ group
-        reps = [TorusElement(_SWAPPED_TAG.get(r.tag, r.tag), r.u2, r.u1, r.den) for r in reps]
+        by_tag = {_SWAPPED_TAG.get(t, t): [(u2, u1) for u1, u2 in pts]
+                  for t, pts in by_tag.items()}
         tags = frozenset(("1", "|"))
-    by_tag = {}
-    for r in reps:
-        by_tag.setdefault(r.tag, []).append(r)
-    pts, den = _lattice_points(by_tag.get("1", []))
+    pts = _lattice_points(by_tag.get("1", ()))
 
     if tags <= {"1"} or tags == {"1", "."}:
         lat = _lattice_params(pts, den)
@@ -278,20 +321,22 @@ def classify_toroidal(G: PointGroup) -> GroupSpec:
         params = {"m": lat.m, "n": lat.n, "s": lat.s}
     elif tags == {"1", "|"}:
         m, n, rhombic = _axis_counts(pts, den)
-        fam = "|/" + _one_mirror_subtype(_has_mirror(by_tag, "|"), rhombic)
+        fam = "|/" + _one_mirror_subtype(_has_mirror(by_tag, "|", den), rhombic)
         params = {"m": m, "n": n}
     elif tags == {"1", "/"} or tags == {"1", "\\"}:
         M, N, rhombic = _diag_counts(pts, den)
         tag = "/" if "/" in tags else "\\"
-        fam = tag + "/" + _one_mirror_subtype(_has_mirror(by_tag, tag), rhombic)
+        fam = tag + "/" + _one_mirror_subtype(_has_mirror(by_tag, tag, den), rhombic)
         params = {"m": M, "n": N}
     elif tags == {"1", ".", "/", "\\"}:
         M, N, rhombic = _diag_counts(pts, den)
-        sub = _two_mirror_subtype(_has_mirror(by_tag, "/"), _has_mirror(by_tag, "\\"), rhombic)
+        sub = _two_mirror_subtype(_has_mirror(by_tag, "/", den),
+                                  _has_mirror(by_tag, "\\", den), rhombic)
         fam, params = "X/" + sub, {"m": M, "n": N}
     elif tags == {"1", "|", "-", "."}:
         m, n, rhombic = _axis_counts(pts, den)
-        sub = _two_mirror_subtype(_has_mirror(by_tag, "|"), _has_mirror(by_tag, "-"), rhombic)
+        sub = _two_mirror_subtype(_has_mirror(by_tag, "|", den),
+                                  _has_mirror(by_tag, "-", den), rhombic)
         if sub == "p2gm":  # the swap of a +/p2mg group
             sub, m, n = "p2mg", n, m
         fam, params = "+/" + sub, {"m": m, "n": n}
@@ -308,7 +353,7 @@ def classify_toroidal(G: PointGroup) -> GroupSpec:
             if k is None:
                 raise NotToroidalError("full torus group with non-square lattice")
             sub_kind, nn = "S", k
-        sub = "p4mm" if all(_has_mirror(by_tag, t) for t in "|-/\\") else "p4gm"
+        sub = "p4mm" if all(_has_mirror(by_tag, t, den) for t in "|-/\\") else "p4gm"
         fam, params = "*/" + sub + sub_kind, {"n": nn}
     else:
         raise NotToroidalError(f"unrecognized directional group {sorted(tags)}")

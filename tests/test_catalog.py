@@ -338,6 +338,7 @@ def test_parse_spec_grammar():
     assert parse_spec("poly:[3,3,5]+") == polyhedral_spec("+-[IxI]")
     assert parse_spec("tor:1: m = 2 ,n=+5,s=-1") == parse_spec("tor:1:m=2,n=5,s=-1")
     for bad in ("tub:nope:n=1", "tor:Q:m=1", "poly:whatever", "axial:x:y", "garbage",
+                "axial:hyb:+T<TO",
                 "tub:+-[IxC]:n=3,n=1", "tub:+-[IxC]:", "tub:+-[IxC]:m=3",
                 "tor:1:m=1,n=1,s=0,x=3", "tor:1:m=1,n=1", "tor:1:m=\u0663,n=1,s=0",
                 "tor:1:m=1_0,n=1,s=0", "tor:1:m=1,n=1,s"):

@@ -4,6 +4,7 @@ import re
 import sys
 from collections import Counter
 from fractions import Fraction as Fr
+from importlib import import_module
 from math import cos, lcm, pi, sin
 
 import numpy as np
@@ -259,8 +260,9 @@ def test_canonicalize_builds_nothing(monkeypatch):
 
 
 def test_classify_reads_only_the_group(monkeypatch):
-    """Right tubical groups and ``|/`` groups presented with ``-`` tags are
-    classified without conjugating the group or rebuilding it from elements."""
+    """Right tubical groups and ``|/`` groups presented with ``-`` tags, both
+    element-backed and encoded, are classified without conjugating the group
+    or rebuilding it from elements."""
     import pg4.group
     from pg4.catalog import TUBICAL_FAMILIES, tubical_spec
     from pg4.classify import classify
@@ -269,9 +271,12 @@ def test_classify_reads_only_the_group(monkeypatch):
     cases = [(sp, build(sp)) for fam in TUBICAL_FAMILIES.values()
              for sp in (tubical_spec(fam.mirror_name, n) for n in range(fam.n_min, 9))]
     swapped = [sp for sp in list_catalog(60) if sp.family.startswith("|/")]
-    cases += [(sp, conjugate(build(sp), rotation(QI, QK))) for sp in swapped]
-    assert swapped and all({r.tag for r in to_torus_rep(G)} == {"1", "-"}
-                           for sp, G in cases[-len(swapped):])
+    moved = [(sp, conjugate(build(sp), rotation(QI, QK))) for sp in swapped]
+    encoded = [(sp, generate(G.generators)) for sp, G in moved]
+    assert swapped and all(G.cyclo_codes is None for sp, G in moved)
+    assert all(G.cyclo_codes is not None for sp, G in encoded)
+    assert all({r.tag for r in to_torus_rep(G)} == {"1", "-"} for sp, G in moved + encoded)
+    cases += moved + encoded
     for fn in (pg4.group.conjugate, pg4.group.from_elements):
         _forbid_everywhere(monkeypatch, fn)
     for sp, G in cases:
@@ -280,9 +285,11 @@ def test_classify_reads_only_the_group(monkeypatch):
 
 def test_classify_builds_no_transforms(monkeypatch, tmp_path):
     """Toroidal round trips through the catalog door and the generator-file
-    door read only the closure codes: no ``Transform4`` is made after closure."""
+    door read only the closure codes: no ``Transform4`` is made after closure,
+    no ``TorusElement`` at all, and no side types are read."""
     import pg4.group
     from pg4.classify import classify
+    from pg4.toroidal import TorusElement
     from pg4.transform import transform_from_json, transform_to_json
     rng = random.Random(1301)
     specs = rng.sample([sp for sp in list_catalog(200) if sp.kind == "toroidal"], 60)
@@ -293,10 +300,15 @@ def test_classify_builds_no_transforms(monkeypatch, tmp_path):
     gens = [transform_from_json(json.loads(ln)) for ln in path.read_text().splitlines()]
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("a Transform4 was built")
+        raise AssertionError("a Transform4 or a TorusElement was built")
 
     monkeypatch.setattr(Transform4, "canonical", forbidden)
     monkeypatch.setattr(pg4.group, "_cyc_make", forbidden)
+    monkeypatch.setattr(TorusElement, "__init__", forbidden)
+    # ``pg4.classify`` is the function; the module is reached by name
+    classify_module = import_module("pg4.classify")
+    for fn in (classify_module.category, pg4.group.left_right_types, to_torus_rep):
+        _forbid_everywhere(monkeypatch, fn)
     for sp in specs:
         assert classify(build(sp)) == sp, sp.spec_string()
     assert classify(generate(gens)) == canonicalize_duplicates(rows[-1])
