@@ -226,19 +226,20 @@ def normalize_lattice(translations) -> TorusLattice:
 
 
 def _lattice_params(pts: set, den: int) -> TorusLattice:
-    m = sum(1 for x, y in pts if x == y)
-    offsets = {(x - y) % den for x, y in pts}
-    n = len(offsets)
+    pts = list(pts)
+    offsets = [(x - y) % den for x, y in pts]
+    m = offsets.count(0)
+    n = len(set(offsets))
     if m * n != len(pts):
         raise NotToroidalError("translation set is not a lattice")
     if n == 1:
         s0 = 0
     else:
         delta = den // n
-        xs = [x for x, y in pts if (x - y) % den == delta] if den % n == 0 else []
-        if not xs:
+        if den % n or delta not in offsets:
             raise NotToroidalError("missing first lattice line")
-        val = (xs[0] - delta) * m * n
+        # any point of the first line gives the same s0 mod n
+        val = (pts[offsets.index(delta)][0] - delta) * m * n
         if val % den:
             raise NotToroidalError("lattice point off the parameter grid")
         s0 = (val // den) % n
