@@ -39,7 +39,7 @@ from functools import lru_cache
 from math import gcd, isqrt
 from typing import Callable
 
-from .algebra import CycloQuat, Quat, exp_i, quat_mul, quat_neg
+from .algebra import CycloQuat, Quat, exp_i, quat_neg
 from .constants import (
     MINUS_J,
     MINUS_K,
@@ -61,11 +61,13 @@ from .constants import (
 from . import group
 from .group import (
     ClosureCapExceeded,
+    GoursatData,
     PointGroup,
     Transform4,
     extend_achiral,
     from_elements,
     generate,
+    identity_pairing,
 )
 from .transform import reflection, rotation
 
@@ -394,29 +396,13 @@ def _lattice_size(p: dict) -> int:
 # ---------------------------------------------------------------------------
 # polyhedral groups
 
-def _pairs_group(pairs) -> PointGroup:
-    return from_elements(Transform4(False, l, r) for l, r in pairs)
-
-
 def _full_product(L: frozenset, R: frozenset) -> PointGroup:
-    return _pairs_group((l, r) for l in L for r in R)
-
-
-def _coset_index(S: frozenset, N: frozenset) -> dict:
-    """Map each element of S to a frozenset coset of the normal subgroup N."""
-    cosets = {}
-    for q in S:
-        if q not in cosets:
-            cs = frozenset(quat_mul(q, h) for h in N)
-            for x in cs:
-                cosets[x] = cs
-    return cosets
+    return GoursatData(L, R, L, R).rotations()
 
 
 def _fraction_group(S: frozenset, N: frozenset) -> PointGroup:
     """{[l, r] : l N = r N}, the identity-pairing index-f subgroup."""
-    cosets = _coset_index(S, N)
-    return _pairs_group((l, r) for l in S for r in cosets[l])
+    return GoursatData(S, S, N, N, identity_pairing(S, N)).rotations()
 
 
 def _simplex_group(r: Quat) -> PointGroup:

@@ -454,8 +454,10 @@ class GoursatData:
                 raise ValueError("R0 is not normal in R")
         if len(self.L) * len(self.R0) != len(self.R) * len(self.L0):
             raise ValueError("factor groups have different sizes")
-        if len(self.pairing) * len(self.L0) != len(self.L):
-            raise ValueError("pairing does not cover L/L0")
+        if (len(self.pairing) * len(self.L0) != len(self.L)
+                or {quat_mul(li, h) for li, _ in self.pairing for h in self.L0} != self.L
+                or not all(ri in self.R for _, ri in self.pairing)):
+            raise ValueError("pairing does not cover L/L0 from R")
         # homomorphism check on representatives
         reps = self.pairing
         for li, ri in reps:
@@ -470,17 +472,33 @@ class GoursatData:
                 if not ok:
                     raise ValueError("pairing is not a homomorphism")
 
+    def rotations(self) -> PointGroup:
+        """All [l, r] with Φ(l L0) = r R0, unchecked: l as L iterates, then r
+        as its R0-coset iterates."""
+        left, right = _cosets(self.L, self.L0), _cosets(self.R, self.R0)
+        match = {left[li]: right[ri] for li, ri in self.pairing}
+        return PointGroup(frozenset(Transform4(False, l, r)
+                                    for l in self.L for r in match[left[l]]))
+
+
+def _cosets(S: frozenset, N: frozenset) -> dict:
+    """Each element of S to its coset qN of the normal subgroup N, a frozenset
+    made from the first q of S met in it; S itself when N is all of S."""
+    if len(N) == len(S):
+        return dict.fromkeys(S, S)
+    cosets = {}
+    for q in S:
+        if q not in cosets:
+            cs = frozenset(quat_mul(q, h) for h in N)
+            for x in cs:
+                cosets[x] = cs
+    return cosets
+
 
 def goursat_group(data: GoursatData) -> PointGroup:
-    """All [l, r] with Φ(l L0) = r R0."""
+    """All [l, r] with Φ(l L0) = r R0: ``data.rotations()``, checked."""
     data.validate()
-    elements = set()
-    for li, ri in data.pairing:
-        for l0 in data.L0:
-            l = quat_mul(li, l0)
-            for r0 in data.R0:
-                elements.add(Transform4(False, l, quat_mul(ri, r0)))
-    G = PointGroup(frozenset(elements))
+    G = data.rotations()
     if Transform4(False, ONE, MINUS_ONE) not in G.elements:
         raise ValueError("pair set does not contain (-1,-1)")
     return G

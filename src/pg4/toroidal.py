@@ -6,17 +6,18 @@ the square grid plus a translation.  The directional tag is read off the
 quaternion pair: the reversing flag together with the two j-bits.
 
 All torus data here lives in units of 2*pi.  A translation is a pair of ints
-(u1, u2) modulo one positive modulus den, standing for (u1/den, u2/den) mod 1;
-``to_torus_rep`` puts every element of a group over the same modulus, twice
-the lcm of the group's angle denominators, so lattice and mirror tests are
-plain int arithmetic.  ``_translations`` holds the eight-tag translation
-formula for every path.
+(u1, u2) modulo one positive modulus den, standing for (u1/den, u2/den) mod 1.
+Every element of a group is put over the same modulus, twice the lcm of the
+group's angle denominators, so lattice and mirror tests are plain int
+arithmetic.  ``_translations`` holds the eight-tag translation formula.
 
-``classify_toroidal`` reads one compact view, ``(den, {tag: [(u1, u2), ...]})``.
-An encoded group gives it from its closure codes: den is 2D, and the codes,
+A group has one torus view, ``_torus_view(G) = (den, {tag: [(u1, u2), ...]})``.
+It reads the codes (star, k_l, b_l, k_r, b_r) of the elements
+[exp(k_l πi/D) j^b_l, exp(k_r πi/D) j^b_r]: an encoded group's closure codes,
+or those of an element-backed group's elements.  den is 2D, and the codes,
 grouped once by (star, b_l, b_r), give the translations of each tag from
-(k_l, k_r).  An element-backed group gives it through ``to_torus_rep``.  The
-classification itself makes no ``TorusElement``.
+(k_l, k_r).  ``classify_toroidal`` reads the view and makes no
+``TorusElement``; ``to_torus_rep`` lists it as ``TorusElement``s.
 """
 
 from __future__ import annotations
@@ -122,7 +123,9 @@ def torus_element(g: Transform4, den: int | None = None) -> TorusElement:
     # rotation angles in units of 2*pi, times den
     a = l.num * (den // (2 * l.den))
     b = r.num * (den // (2 * r.den))
-    return _torus_element(g.star, l.jbit, r.jbit, a, b, den)
+    tag = TAG_OF_BITS[(g.star, l.jbit, r.jbit)]
+    [(u1, u2)] = _translations(tag, ((g.star, a, l.jbit, b, r.jbit),), den)
+    return TorusElement(tag, u1, u2, den)
 
 
 # tag -> the translation (u1, u2) of [exp(2πi a/den) j^jl, exp(2πi b/den) j^jr]:
@@ -150,41 +153,28 @@ def _translations(tag: str, codes, den: int) -> list:
             for _, a, _, b, _ in codes]
 
 
-def _torus_element(star, jl: int, jr: int, a: int, b: int, den: int) -> TorusElement:
-    """The torus element of [exp(2πi a/den) j^jl, exp(2πi b/den) j^jr], reversing if star."""
-    tag = TAG_OF_BITS[(star, jl, jr)]
-    [(u1, u2)] = _translations(tag, ((star, a, jl, b, jr),), den)
-    return TorusElement(tag, u1, u2, den)
-
-
 def to_torus_rep(G: PointGroup) -> list:
-    """Torus elements of G, all over one modulus: twice the lcm of its angle denominators.
-
-    An encoded group is read from its codes: the modulus is 2D, and the
-    angles exp(k_l πi/D), exp(k_r πi/D) are k_l/2D and k_r/2D turns."""
-    if G.cyclo_codes is not None:
-        D, codes = G.cyclo_codes
-        return [_torus_element(s == 1, bl, br, kl, kr, 2 * D) for s, kl, bl, kr, br in codes]
-    # an element off the standard torus is rejected by torus_element
-    den = 2 * lcm(*{q.den for g in G.elements for q in (g.l, g.r)
-                    if isinstance(q, CycloQuat)})
-    return [torus_element(g, den) for g in G.elements]
+    """Torus elements of G, all over one modulus: twice the lcm of its angle
+    denominators.  The view ``_torus_view(G)``, listed tag by tag."""
+    den, by_tag = _torus_view(G)
+    return [TorusElement(tag, u1, u2, den) for tag, pts in by_tag.items() for u1, u2 in pts]
 
 
 def _torus_view(G: PointGroup) -> tuple:
     """``(den, {tag: [(u1, u2), ...]})``: the translations of G's elements by
-    directional tag, all over one modulus den.
-
-    An encoded group is read from its codes, grouped once by (star, b_l, b_r):
-    den is 2D and the angles are (k_l, k_r).  An element-backed group is read
-    through ``to_torus_rep``."""
-    if G.cyclo_codes is None:
-        reps = to_torus_rep(G)
-        by_tag = {}
-        for r in reps:
-            by_tag.setdefault(r.tag, []).append((r.u1, r.u2))
-        return reps[0].den, by_tag
-    D, codes = G.cyclo_codes
+    directional tag, over den = 2D.  The codes (star, k_l, b_l, k_r, b_r) are
+    an encoded group's, else read from the elements, with D the lcm of their
+    angle denominators and k = num D/den; a component off the standard torus
+    raises ``NotToroidalError``.  They are grouped once by (star, b_l, b_r)."""
+    if G.cyclo_codes is not None:
+        D, codes = G.cyclo_codes
+    else:
+        quats = {q for g in G.elements for q in (g.l, g.r)}
+        if not all(isinstance(q, CycloQuat) for q in quats):
+            raise NotToroidalError("element is not toroidal in standard coordinates")
+        D = lcm(*{q.den for q in quats})
+        k = {q: q.num * (D // q.den) for q in quats}
+        codes = [(g.star, k[g.l], g.l.jbit, k[g.r], g.r.jbit) for g in G.elements]
     by_bits = {}
     for c in codes:
         bits = c[0], c[2], c[4]
@@ -304,10 +294,10 @@ def _two_mirror_subtype(mirror_a: bool, mirror_b: bool, rhombic: bool) -> str:
 
 
 def classify_toroidal(G: PointGroup) -> GroupSpec:
-    """The catalog spec of G, read from its torus view ``_torus_view(G)`` alone:
-    the closure codes of an encoded group, else ``to_torus_rep(G)``.  The
-    tags pick the family, the ``1`` translations give the lattice, and the
-    wallpaper subtype comes from which mirror lines hold an element."""
+    """The catalog spec of G, read from its torus view ``_torus_view(G)`` alone,
+    with no ``TorusElement``.  The tags pick the family, the ``1``
+    translations give the lattice, and the wallpaper subtype comes from which
+    mirror lines hold an element."""
     den, by_tag = _torus_view(G)
     tags = frozenset(by_tag)
     if tags == {"1", "-"}:  # read the group as its torus swap, a |/ group

@@ -158,13 +158,30 @@ def test_goursat_TT():
     assert order(goursat_group(data)) == 288
 
 
+def test_goursat_group_is_the_catalog_construction():
+    """The 12 Goursat rows of the catalog, element for element in order."""
+    S = {"T": two_T(), "O": two_O(), "I": two_I()}
+    rows = [(f"+-[{a}x{b}]", GoursatData(S[a], S[b], S[a], S[b])) for a in S for b in S]
+    rows += [(name, GoursatData(L, L, N, N, identity_pairing(L, N))) for name, L, N in (
+        ("+-1/3[TxT]", S["T"], quaternion_Q8()), ("+-1/2[OxO]", S["O"], S["T"]),
+        ("+-1/6[OxO]", S["O"], quaternion_Q8()))]
+    for name, data in rows:
+        G = goursat_group(data)
+        assert list(G.elements) == list(build(polyhedral_spec(name)).elements), name
+
+
 def test_goursat_validation():
-    with pytest.raises(ValueError):
+    Q8, T, C2, pm1 = quaternion_Q8(), two_T(), two_C(2), frozenset({ONE, MINUS_ONE})
+    for data in (
         # pairing that is not a homomorphism: match T-cosets with wrong reps
-        Q8 = quaternion_Q8()
-        T = two_T()
-        bad = [(ONE, ONE), (OMEGA, ONE), (OMEGA, OMEGA)]
-        goursat_group(GoursatData(T, T, Q8, Q8, bad))
+        GoursatData(T, T, Q8, Q8, [(ONE, ONE), (OMEGA, ONE), (OMEGA, OMEGA)]),
+        # one coset of L/L0 listed three times
+        GoursatData(T, T, Q8, Q8, [(ONE, ONE), (ONE, ONE), (MINUS_ONE, MINUS_ONE)]),
+        # a right representative outside R
+        GoursatData(C2, C2, pm1, pm1, [(ONE, ONE), (QI, QJ)]),
+    ):
+        with pytest.raises(ValueError):
+            goursat_group(data)
 
 
 def test_fingerprint_conjugation_invariance():

@@ -261,12 +261,13 @@ def test_canonicalize_builds_nothing(monkeypatch):
 
 def test_classify_reads_only_the_group(monkeypatch):
     """Right tubical groups and ``|/`` groups presented with ``-`` tags, both
-    element-backed and encoded, are classified without conjugating the group
-    or rebuilding it from elements."""
+    element-backed and encoded, are classified without conjugating the group,
+    rebuilding it from elements or making a ``TorusElement``."""
     import pg4.group
     from pg4.catalog import TUBICAL_FAMILIES, tubical_spec
     from pg4.classify import classify
     from pg4.constants import QI, QK
+    from pg4.toroidal import TorusElement
     from pg4.transform import rotation
     cases = [(sp, build(sp)) for fam in TUBICAL_FAMILIES.values()
              for sp in (tubical_spec(fam.mirror_name, n) for n in range(fam.n_min, 9))]
@@ -277,6 +278,11 @@ def test_classify_reads_only_the_group(monkeypatch):
     assert all(G.cyclo_codes is not None for sp, G in encoded)
     assert all({r.tag for r in to_torus_rep(G)} == {"1", "-"} for sp, G in moved + encoded)
     cases += moved + encoded
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("TorusElement built")
+
+    monkeypatch.setattr(TorusElement, "__init__", forbidden)
     for fn in (pg4.group.conjugate, pg4.group.from_elements):
         _forbid_everywhere(monkeypatch, fn)
     for sp, G in cases:
