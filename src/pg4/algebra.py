@@ -279,10 +279,12 @@ class AlgQuat:
 
     Instances are interned on the 20 integers of the four reduced
     coordinates, so equal values are one object and ``==`` is identity.
-    ``hash(q) == hash((1, hash(w), hash(x), hash(y), hash(z)))``.
+    ``hash(q) == hash((1, hash(w), hash(x), hash(y), hash(z)))``.  Interning
+    also sets ``_flip`` (``quat_sign_flip``) and ``_ints``: the 16 numerators
+    of w, x, y, z over their least common denominator, then that denominator.
     """
 
-    __slots__ = ("w", "x", "y", "z", "_hash", "_negq", "_order")
+    __slots__ = ("w", "x", "y", "z", "_hash", "_negq", "_order", "_flip", "_ints")
 
     def __new__(cls, w, x, y, z):
         return _alg(_coerce(w), _coerce(x), _coerce(y), _coerce(z))
@@ -317,6 +319,11 @@ def _alg(w: FieldElem, x: FieldElem, y: FieldElem, z: FieldElem) -> AlgQuat:
         q._hash = hash((1, hash(w), hash(x), hash(y), hash(z)))
         q._negq = None
         q._order = None
+        den = lcm(w.den, x.den, y.den, z.den)
+        ints = [n * (den // c.den) for c in (w, x, y, z) for n in (c.A, c.B, c.C, c.D)]
+        # quat_key order: -q is smaller iff q's first nonzero numerator is positive
+        q._flip = next((n > 0 for n in ints if n), False)
+        q._ints = (*ints, den)
         _ALG_CACHE[key] = q
     return q
 
@@ -326,10 +333,11 @@ class CycloQuat:
 
     Instances are interned on the reduced (numerator, denominator, jbit)
     triple, so ``==`` is identity; the angle is stored as plain integers for
-    speed.  ``hash(q) == hash((0, num, den, jbit))``.
+    speed.  ``hash(q) == hash((0, num, den, jbit))``.  ``_flip`` is
+    ``quat_sign_flip(q)``, set when the quaternion is interned.
     """
 
-    __slots__ = ("num", "den", "jbit", "_hash", "_neg", "_order")
+    __slots__ = ("num", "den", "jbit", "_hash", "_neg", "_order", "_flip")
 
     def __new__(cls, t, jbit: int = 0):
         t = Fraction(t) % 2
@@ -361,6 +369,7 @@ def _cyc(num: int, den: int, jbit: int) -> CycloQuat:
         q._hash = hash((0, num, den, jbit))
         q._neg = None
         q._order = None
+        q._flip = num >= den  # -q has angle num - den
         _CYC_CACHE[key] = q
     return q
 
@@ -482,15 +491,9 @@ def quat_neg(a: Quat) -> Quat:
 
 
 def quat_sign_flip(a: Quat) -> bool:
-    """True when -a has the smaller encoding, i.e. (l, r) must be negated."""
-    if type(a) is CycloQuat:
-        return (a.num + a.den) % (2 * a.den) < a.num
-    # quat_key order: -a is smaller iff a's first nonzero coordinate is positive
-    for c in (a.w, a.x, a.y, a.z):
-        for n in (c.A, c.B, c.C, c.D):
-            if n:
-                return n > 0
-    return False
+    """True when -a has the smaller encoding, i.e. (l, r) must be negated;
+    set when ``a`` was interned."""
+    return a._flip
 
 
 def quat_real(a: Quat) -> FieldElem:
@@ -536,9 +539,16 @@ _ARCCOS = {
 }
 
 
-def _arccos(re: FieldElem) -> Fraction:
-    a = _ARCCOS.get(re)
+# the same table on the reduced numerators and denominator (A, B, C, D, den)
+_ARCCOS_INTS = {(x.A, x.B, x.C, x.D, x.den): t for x, t in _ARCCOS.items()}
+
+
+def _arccos(A: int, B: int, C: int, D: int, den: int) -> Fraction:
+    """The ``_ARCCOS`` angle of (A + B sqrt2 + C sqrt5 + D sqrt10) / den,
+    given in lowest terms with den > 0."""
+    a = _ARCCOS_INTS.get((A, B, C, D, den))
     if a is None:
+        re = _fe_reduced(A, B, C, D, den)
         raise ValueError(f"real part {re!r} outside the arccos lookup table")
     return a
 
@@ -549,7 +559,8 @@ def unsigned_angle(q: Quat) -> Fraction:
         if q.jbit:
             return _FH
         return min(Fraction(q.num, q.den), Fraction(2 * q.den - q.num, q.den))
-    return _arccos(q.w)
+    w = q.w
+    return _arccos(w.A, w.B, w.C, w.D, w.den)
 
 
 def angle_of(q: Quat) -> AngleFraction:
@@ -560,8 +571,9 @@ def angle_of(q: Quat) -> AngleFraction:
 def product_angle(a: Quat, b: Quat) -> Fraction:
     """``unsigned_angle(quat_mul(a, b))``, read from Re(a*b) alone.
 
-    Unless both factors are CycloQuats, only the four field products of the
-    real part are formed; the full product is neither built nor cached.
+    Unless both factors are CycloQuats, the real part is one integer
+    expression in the ``_ints`` of the two factors, reduced by one gcd; the
+    full product is neither built nor cached.
     """
     if type(a) is CycloQuat:
         if type(b) is CycloQuat:
@@ -569,7 +581,29 @@ def product_angle(a: Quat, b: Quat) -> Fraction:
         a = _promote(a)
     elif type(b) is CycloQuat:
         b = _promote(b)
-    return _arccos(a.w * b.w - a.x * b.x - a.y * b.y - a.z * b.z)
+    # coordinate c of a is (c0 + c1 sqrt2 + c2 sqrt5 + c3 sqrt10) / d, and of b
+    # (C0 + ...) / e; Re(ab) = ww' - xx' - yy' - zz' by the FieldElem product
+    w0, w1, w2, w3, x0, x1, x2, x3, y0, y1, y2, y3, z0, z1, z2, z3, d = a._ints
+    W0, W1, W2, W3, X0, X1, X2, X3, Y0, Y1, Y2, Y3, Z0, Z1, Z2, Z3, e = b._ints
+    A = (w0 * W0 - x0 * X0 - y0 * Y0 - z0 * Z0
+         + 2 * (w1 * W1 - x1 * X1 - y1 * Y1 - z1 * Z1)
+         + 5 * (w2 * W2 - x2 * X2 - y2 * Y2 - z2 * Z2)
+         + 10 * (w3 * W3 - x3 * X3 - y3 * Y3 - z3 * Z3))
+    B = (w0 * W1 - x0 * X1 - y0 * Y1 - z0 * Z1
+         + w1 * W0 - x1 * X0 - y1 * Y0 - z1 * Z0
+         + 5 * (w2 * W3 - x2 * X3 - y2 * Y3 - z2 * Z3
+                + w3 * W2 - x3 * X2 - y3 * Y2 - z3 * Z2))
+    C = (w0 * W2 - x0 * X2 - y0 * Y2 - z0 * Z2
+         + w2 * W0 - x2 * X0 - y2 * Y0 - z2 * Z0
+         + 2 * (w1 * W3 - x1 * X3 - y1 * Y3 - z1 * Z3
+                + w3 * W1 - x3 * X1 - y3 * Y1 - z3 * Z1))
+    D = (w0 * W3 - x0 * X3 - y0 * Y3 - z0 * Z3
+         + w3 * W0 - x3 * X0 - y3 * Y0 - z3 * Z0
+         + w1 * W2 - x1 * X2 - y1 * Y2 - z1 * Z2
+         + w2 * W1 - x2 * X1 - y2 * Y1 - z2 * Z1)
+    den = d * e
+    g = gcd(A, B, C, D, den)
+    return _arccos(A // g, B // g, C // g, D // g, den // g)
 
 
 def quat_order(q: Quat) -> int:

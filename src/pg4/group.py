@@ -108,10 +108,17 @@ class PointGroup:
         import numpy as np
 
         els = list(self.elements)
-        f4 = _Memo(quat_float4)  # once per distinct quaternion
         star = np.array([g.star for g in els], dtype=bool)
-        L = np.array([f4[g.l] for g in els], dtype=float).T.copy()
-        R = np.array([f4[g.r] for g in els], dtype=float).T.copy()
+        # each distinct quaternion is converted once, and the columns gather
+        # its row; keyed by identity, since quaternions are interned
+        ls = [g.l for g in els]
+        rs = [g.r for g in els]
+        distinct = {id(q): q for q in ls}
+        distinct.update((id(q), q) for q in rs)
+        row = {i: n for n, i in enumerate(distinct)}
+        table = np.array([quat_float4(q) for q in distinct.values()], dtype=float)
+        L = table[[row[id(q)] for q in ls]].T.copy()
+        R = table[[row[id(q)] for q in rs]].T.copy()
         for a in (star, L, R):
             a.flags.writeable = False  # shared by every caller
         return star, L, R
@@ -278,16 +285,45 @@ def conjugate(G: PointGroup, h: Transform4) -> PointGroup:
 
 
 def extend_achiral(G: PointGroup, e: Transform4) -> PointGroup:
-    """Index-2 achiral extension G ∪ Ge."""
+    """Index-2 achiral extension G ∪ Ge.
+
+    Every generator of G, or every element if it has none, must be mapped
+    into G by conjugation with e (``_conjugates``).  With e = *[a, b], the
+    coset element g·e is *[r·a, l·b] for g = [l, r] and [r·a, l·b] for
+    g = *[l, r], made in ``G.elements`` order with each product computed once
+    per distinct quaternion.
+    """
     if not e.star:
         raise ValueError("extending element must be orientation-reversing")
-    if compose(e, e) not in G.elements:
+    elements = G.elements
+    if compose(e, e) not in elements:
         raise ValueError("square of extending element is not in the group")
-    for g in G.generators or G.elements:
-        if conjugate_elem(g, e) not in G.elements:
-            raise ValueError("extending element does not normalize the group")
-    coset = {compose(g, e) for g in G.elements}
-    return PointGroup(G.elements | coset, G.generators + (e,))
+    if any(h not in elements for h in _conjugates(G.generators or elements, e)):
+        raise ValueError("extending element does not normalize the group")
+    a, b = e.l, e.r
+    times_a = _Memo(lambda q: quat_mul(q, a))
+    times_b = _Memo(lambda q: quat_mul(q, b))
+    coset = {Transform4(not g.star, times_a[g.r], times_b[g.l]) for g in elements}
+    return PointGroup(elements | coset, G.generators + (e,))
+
+
+def _conjugates(gs, e: Transform4):
+    """e⁻¹ g e for each g of gs, for a reversing e = *[a, b].
+
+    With A, B the conjugates of a, b: [A·r·a, B·l·b] for g = [l, r] and
+    *[B·r·a, A·l·b] for g = *[l, r], each component product computed once
+    per distinct quaternion; ``conjugate_elem(g, e)`` is the oracle.
+    """
+    a, b = e.l, e.r
+    A, B = quat_conj(a), quat_conj(b)
+
+    def sandwich(x, y):
+        return _Memo(lambda q: quat_mul(quat_mul(x, q), y))
+
+    maps = {False: (sandwich(A, a), sandwich(B, b)), True: (sandwich(B, a), sandwich(A, b))}
+    for g in gs:
+        on_r, on_l = maps[g.star]
+        yield Transform4(g.star, on_r[g.r], on_l[g.l])
 
 
 # ---------------------------------------------------------------------------

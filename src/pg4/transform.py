@@ -22,7 +22,6 @@ from .algebra import (
     quat_is_unit,
     quat_mul,
     quat_neg,
-    quat_sign_flip,
     quat_to_json,
     unsigned_angle,
     ONE,
@@ -38,7 +37,7 @@ class Transform4:
     __slots__ = ("star", "l", "r", "_hash")
 
     def __init__(self, star: bool, l: Quat, r: Quat):
-        if quat_sign_flip(l):
+        if l._flip:  # quat_sign_flip(l), kept on the interned quaternion
             l, r = quat_neg(l), quat_neg(r)
         self.star = bool(star)
         self.l = l

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as Fr
 
 import pytest
@@ -25,10 +26,12 @@ from pg4.algebra import (
     quat_conj,
     quat_from_json,
     quat_is_unit,
+    quat_key,
     quat_mul,
     quat_neg,
     quat_order,
     quat_real,
+    quat_sign_flip,
     quat_to_json,
 )
 from pg4.constants import I_I, I_O, OMEGA, OMEGA_BAR
@@ -158,7 +161,12 @@ def test_angle_complement():
 def test_product_angle_reads_the_real_part():
     from pg4 import algebra
     from pg4.constants import two_I, two_O
-    pairs = [(a, b) for S in (list(two_O()), list(two_I())[::3]) for a in S for b in S]
+    I2, O2 = list(two_I()), list(two_O())
+    # the CycloQuats of 2O, promoted against its AlgQuats
+    cyclo = [CycloQuat(Fr(k, 4), b) for k in range(8) for b in (0, 1)]
+    pairs = [(a, b) for a in I2 for b in I2] + [(a, b) for a in O2 for b in O2]
+    pairs += [(c, q) for c in cyclo for q in O2] + [(q, c) for c in cyclo for q in O2]
+    pairs += [(exp_i(Fr(1, 4)), OMEGA), (OMEGA, exp_i(Fr(1, 4))), (J, I_I), (I_I, K)]
     pairs.append((exp_i(Fr(1, 7)), exp_i(Fr(2, 7))))
     cached = len(algebra._ALG_MUL_CACHE)
     got = [algebra.product_angle(a, b) for a, b in pairs]
@@ -166,6 +174,45 @@ def test_product_angle_reads_the_real_part():
     assert got == [angle_of(quat_mul(a, b)).t for a, b in pairs]
     with pytest.raises(RepresentationError):
         algebra.product_angle(exp_i(Fr(1, 5)), OMEGA)
+    # 2O x 2I: real parts with sqrt10 terms, many outside the table
+
+    def outcome(f, *args):
+        try:
+            return f(*args)
+        except ValueError as exc:
+            return str(exc)
+
+    mixed = [(a, b) for a in O2 for b in I2] + [(b, a) for a in O2 for b in I2[::5]]
+    # and quaternions with all 16 numerators nonzero (no catalog unit has sqrt10)
+    rng = random.Random(2405)
+
+    def coord():
+        return FieldElem(*(Fr(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
+                           for _ in range(4)))
+
+    dense = [AlgQuat(coord(), coord(), coord(), coord()) for _ in range(40)]
+    mixed += list(zip(dense, dense[1:] + dense[:1]))
+    got = [outcome(algebra.product_angle, a, b) for a, b in mixed]
+    assert got == [outcome(algebra.unsigned_angle, quat_mul(a, b)) for a, b in mixed]
+    assert 0 < sum(type(x) is str for x in got) < len(got)
+
+
+def test_interned_data():
+    """The sign bit and integer coordinates set when a quaternion is interned,
+    over every quaternion made while building the 46 finite groups."""
+    from pg4 import algebra
+    from pg4.catalog import AXIAL_FAMILIES, POLYHEDRAL_ORDERS, GroupSpec, build, polyhedral_spec
+    for name in POLYHEDRAL_ORDERS:
+        build(polyhedral_spec(name))
+    for fam in AXIAL_FAMILIES:
+        build(GroupSpec("axial", fam))
+    quats = list(algebra._ALG_CACHE.values()) + list(algebra._CYC_CACHE.values())
+    assert len(quats) >= 144  # at least 2I ∪ 2O
+    for q in quats:
+        assert quat_sign_flip(q) == (quat_key(quat_neg(q)) < quat_key(q)), q
+    for q in algebra._ALG_CACHE.values():
+        *nums, den = q._ints
+        assert [Fr(n, den) for n in nums] == [f for c in q.coords() for f in c.key()], q
 
 
 def test_units_and_promotion():

@@ -8,6 +8,7 @@ from pg4.constants import (
     MINUS_ONE,
     OMEGA,
     I_I,
+    I_O,
     ONE,
     QI,
     QJ,
@@ -132,8 +133,52 @@ def test_extend_achiral():
     for _ in range(300):
         a, b = random.choice(els), random.choice(els)
         assert compose(a, b) in ext.elements
-    with pytest.raises(ValueError):
-        extend_achiral(build(tubical_spec("+-[IxC]", 3)), star)
+    with pytest.raises(ValueError, match="extending element must be orientation-reversing"):
+        extend_achiral(GII, rotation(ONE, ONE))
+    with pytest.raises(ValueError, match="square of extending element is not in the group"):
+        extend_achiral(GII, reflection(ONE, I_O))
+    for base in (build(tubical_spec("+-[IxC]", 3)), build(polyhedral_spec("+-[TxO]"))):
+        with pytest.raises(ValueError, match="extending element does not normalize the group"):
+            extend_achiral(base, star)
+
+
+def test_extend_achiral_matches_the_composed_coset():
+    """Each achiral catalog row against e⁻¹ g e and g·e made by ``compose``,
+    in order."""
+    import pg4.group
+    from pg4.catalog import POLYHEDRAL_FAMILIES
+    from pg4.transform import compose, conjugate_elem
+    rows = [f for f in POLYHEDRAL_FAMILIES.values() if not f.chiral]
+    assert len(rows) == 11
+    for fam in rows:
+        base = build(polyhedral_spec(fam.base))
+        conjugates = list(pg4.group._conjugates(base.elements, fam.ext))
+        assert conjugates == [conjugate_elem(g, fam.ext) for g in base.elements], fam.name
+        got = extend_achiral(base, fam.ext)
+        want = base.elements | {compose(g, fam.ext) for g in base}
+        same_order = repr(list(got.elements)) == repr(list(want))  # no diff of 14,400 items
+        assert got.elements == want and same_order, fam.name
+
+
+@pytest.mark.parametrize("name, e, spec", [
+    ("+-[TxT].2", reflection(I_O, I_O), "poly:+-1/2[OxO].2"),
+    ("+-1/2[OxO].2", reflection(ONE, I_O), "poly:+-[OxO].2"),
+])
+def test_extend_achiral_of_a_base_with_reversing_elements(name, e, spec):
+    """The *[l, r] branches: conjugates and coset of an achiral base."""
+    import pg4.group
+    from pg4.classify import classify
+    from pg4.transform import compose, conjugate_elem
+    base = build(polyhedral_spec(name))
+    conjugates = list(pg4.group._conjugates(base.elements, e))
+    assert conjugates == [conjugate_elem(g, e) for g in base.elements]
+    assert sum(h.star for h in conjugates) == len(base) // 2
+    G = extend_achiral(base, e)
+    assert order(G) == 2 * len(base)
+    want = base.elements | {compose(g, e) for g in base}
+    same_order = repr(list(G.elements)) == repr(list(want))
+    assert G.elements == want and same_order
+    assert classify(G).spec_string() == spec
 
 
 def test_goursat_full_product():
