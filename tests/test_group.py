@@ -156,7 +156,8 @@ def test_extend_achiral_matches_the_composed_coset():
         assert conjugates == [conjugate_elem(g, fam.ext) for g in base.elements], fam.name
         got = extend_achiral(base, fam.ext)
         want = base.elements | {compose(g, fam.ext) for g in base}
-        same_order = repr(list(got.elements)) == repr(list(want))  # no diff of 14,400 items
+        # a bool, since pytest would diff two 14,400-item reprs for minutes
+        same_order = repr(list(got.elements)) == repr(list(want))
         assert got.elements == want and same_order, fam.name
 
 
