@@ -9,7 +9,8 @@ Two scalar domains cover everything the catalog needs:
 
 Quaternions come in two exact representations:
 
-* ``AlgQuat`` -- coordinates w + x i + y j + z k as FieldElems.
+* ``AlgQuat`` -- w + x i + y j + z k with coordinates in Q(sqrt2, sqrt5), stored
+  as 16 integer numerators over one denominator.
 * ``CycloQuat`` -- exp(t*pi*i) or exp(t*pi*i)*j, i.e. an angle fraction plus a
   j-bit.  This covers cyclic and dihedral factors of arbitrary order, whose
   coordinates would need number fields of unbounded degree.
@@ -162,10 +163,7 @@ class FieldElem:
         return not (self.B or self.C or self.D)
 
     def __float__(self):
-        # per coordinate, as float(Fraction) rounds it, then summed in order
-        den = self.den
-        return self.A / den + self.B / den * 1.4142135623730951 \
-            + self.C / den * 2.23606797749979 + self.D / den * 3.1622776601683795
+        return _float(self.A, self.B, self.C, self.D, self.den)
 
     def key(self):
         return (self.a, self.b, self.c, self.d)
@@ -183,6 +181,13 @@ def _rat_hash(n: int, den: int) -> int:
     if n < 0:
         h = -h
     return -2 if h == -1 else h
+
+
+def _float(A: int, B: int, C: int, D: int, den: int) -> float:
+    """float((A + B sqrt2 + C sqrt5 + D sqrt10) / den): per coordinate, as
+    float(Fraction) rounds it (so the same for any common den), then summed."""
+    return A / den + B / den * 1.4142135623730951 \
+        + C / den * 2.23606797749979 + D / den * 3.1622776601683795
 
 
 def _fe_reduced(A: int, B: int, C: int, D: int, den: int) -> FieldElem:
@@ -275,19 +280,28 @@ def _angle_t(x) -> Fraction:
 
 
 class AlgQuat:
-    """Unit quaternion w + x i + y j + z k with FieldElem coordinates.
+    """Unit quaternion w + x i + y j + z k with coordinates in Q(sqrt2, sqrt5).
 
-    Instances are interned on the 20 integers of the four reduced
-    coordinates, so equal values are one object and ``==`` is identity.
-    ``hash(q) == hash((1, hash(w), hash(x), hash(y), hash(z)))``.  Interning
-    also sets ``_flip`` (``quat_sign_flip``) and ``_ints``: the 16 numerators
-    of w, x, y, z over their least common denominator, then that denominator.
+    ``_ints`` is the one stored form: the 16 numerators of w, x, y, z (each as
+    A, B, C, D of ``FieldElem``) over their least common denominator, then
+    that denominator, in lowest terms.  Instances are interned on it, so
+    equal values are one object and ``==`` is identity.  The coordinates
+    ``w``-``z`` are FieldElems made on read.  ``hash(q) == hash((1, hash(w),
+    hash(x), hash(y), hash(z)))``.  Interning also sets ``_flip``
+    (``quat_sign_flip``).
     """
 
-    __slots__ = ("w", "x", "y", "z", "_hash", "_negq", "_order", "_flip", "_ints")
+    __slots__ = ("_ints", "_hash", "_negq", "_order", "_flip")
 
     def __new__(cls, w, x, y, z):
-        return _alg(_coerce(w), _coerce(x), _coerce(y), _coerce(z))
+        cs = [_coerce(c) for c in (w, x, y, z)]
+        den = lcm(*(c.den for c in cs))
+        return _alg((*(n * (den // c.den) for c in cs for n in (c.A, c.B, c.C, c.D)), den))
+
+    w = property(lambda q: _fe(*q._ints[0:4], q._ints[16]))
+    x = property(lambda q: _fe(*q._ints[4:8], q._ints[16]))
+    y = property(lambda q: _fe(*q._ints[8:12], q._ints[16]))
+    z = property(lambda q: _fe(*q._ints[12:16], q._ints[16]))
 
     def __hash__(self):
         return self._hash
@@ -305,26 +319,21 @@ class AlgQuat:
 _ALG_CACHE: dict = {}
 
 
-def _alg(w: FieldElem, x: FieldElem, y: FieldElem, z: FieldElem) -> AlgQuat:
-    """Interned AlgQuat from reduced FieldElem coordinates."""
-    key = (w.A, w.B, w.C, w.D, w.den, x.A, x.B, x.C, x.D, x.den,
-           y.A, y.B, y.C, y.D, y.den, z.A, z.B, z.C, z.D, z.den)
-    q = _ALG_CACHE.get(key)
+def _alg(ints: tuple) -> AlgQuat:
+    """Interned AlgQuat from its 17-int ``_ints`` form, in lowest terms."""
+    q = _ALG_CACHE.get(ints)
     if q is None:
         q = object.__new__(AlgQuat)
-        q.w = w
-        q.x = x
-        q.y = y
-        q.z = z
-        q._hash = hash((1, hash(w), hash(x), hash(y), hash(z)))
+        q._ints = ints
+        # a coordinate's FieldElem hash is the rational hash of each numerator
+        den = ints[16]
+        q._hash = hash((1, *(hash(tuple(_rat_hash(n, den) for n in ints[u:u + 4]))
+                             for u in (0, 4, 8, 12))))
         q._negq = None
         q._order = None
-        den = lcm(w.den, x.den, y.den, z.den)
-        ints = [n * (den // c.den) for c in (w, x, y, z) for n in (c.A, c.B, c.C, c.D)]
         # quat_key order: -q is smaller iff q's first nonzero numerator is positive
-        q._flip = next((n > 0 for n in ints if n), False)
-        q._ints = (*ints, den)
-        _ALG_CACHE[key] = q
+        q._flip = next((n > 0 for n in ints[:16] if n), False)
+        _ALG_CACHE[ints] = q
     return q
 
 
@@ -399,7 +408,9 @@ _EIGHTH = {
     Fraction(3, 2): (F(0), F(-1)),
     Fraction(7, 4): (HALF * SQRT2, -HALF * SQRT2),
 }
-_EIGHTH_INV = {cs: t for t, cs in _EIGHTH.items()}
+# the _ints of each of those circle points, mapped to its CycloQuat (t, jbit)
+_EIGHTH_INV = {AlgQuat(*cs, 0, 0)._ints: (t, 0) for t, cs in _EIGHTH.items()}
+_EIGHTH_INV.update({AlgQuat(0, 0, *cs)._ints: (t, 1) for t, cs in _EIGHTH.items()})
 
 
 def quat(w, x, y, z) -> Quat:
@@ -410,15 +421,8 @@ def quat(w, x, y, z) -> Quat:
 
 def _demote(q: AlgQuat):
     # circle forms with angle denominator | 4 are stored as CycloQuat
-    if q.y.is_zero() and q.z.is_zero():
-        t = _EIGHTH_INV.get((q.w, q.x))
-        if t is not None:
-            return CycloQuat(t, 0)
-    elif q.w.is_zero() and q.x.is_zero():
-        t = _EIGHTH_INV.get((q.y, q.z))
-        if t is not None:
-            return CycloQuat(t, 1)
-    return None
+    tj = _EIGHTH_INV.get(q._ints)
+    return None if tj is None else CycloQuat(*tj)
 
 
 @lru_cache(maxsize=None)
@@ -431,6 +435,31 @@ def _promote(c: CycloQuat) -> AlgQuat:
     return AlgQuat(cs[0], cs[1], F(0), F(0))
 
 
+def _real_part(a: tuple, b: tuple) -> tuple:
+    """Numerators (A, B, C, D) of Re(a*b) over ``a[16] * b[16]``, for the
+    ``_ints`` forms a and b of two quaternions."""
+    # coordinate c of a is (c0 + c1 sqrt2 + c2 sqrt5 + c3 sqrt10) / d, and of b
+    # (C0 + ...) / e; Re(ab) = ww' - xx' - yy' - zz' by the FieldElem product
+    w0, w1, w2, w3, x0, x1, x2, x3, y0, y1, y2, y3, z0, z1, z2, z3, d = a
+    W0, W1, W2, W3, X0, X1, X2, X3, Y0, Y1, Y2, Y3, Z0, Z1, Z2, Z3, e = b
+    return (w0 * W0 - x0 * X0 - y0 * Y0 - z0 * Z0
+            + 2 * (w1 * W1 - x1 * X1 - y1 * Y1 - z1 * Z1)
+            + 5 * (w2 * W2 - x2 * X2 - y2 * Y2 - z2 * Z2)
+            + 10 * (w3 * W3 - x3 * X3 - y3 * Y3 - z3 * Z3),
+            w0 * W1 - x0 * X1 - y0 * Y1 - z0 * Z1
+            + w1 * W0 - x1 * X0 - y1 * Y0 - z1 * Z0
+            + 5 * (w2 * W3 - x2 * X3 - y2 * Y3 - z2 * Z3
+                   + w3 * W2 - x3 * X2 - y3 * Y2 - z3 * Z2),
+            w0 * W2 - x0 * X2 - y0 * Y2 - z0 * Z2
+            + w2 * W0 - x2 * X0 - y2 * Y0 - z2 * Z0
+            + 2 * (w1 * W3 - x1 * X3 - y1 * Y3 - z1 * Z3
+                   + w3 * W1 - x3 * X1 - y3 * Y1 - z3 * Z1),
+            w0 * W3 - x0 * X3 - y0 * Y3 - z0 * Z3
+            + w3 * W0 - x3 * X0 - y3 * Y0 - z3 * Z0
+            + w1 * W2 - x1 * X2 - y1 * Y2 - z1 * Z2
+            + w2 * W1 - x2 * X1 - y2 * Y1 - z2 * Z1)
+
+
 _ALG_MUL_CACHE: dict = {}
 
 
@@ -438,14 +467,19 @@ def _alg_mul(a: AlgQuat, b: AlgQuat) -> Quat:
     key = (a, b)
     r = _ALG_MUL_CACHE.get(key)
     if r is None:
-        w1, x1, y1, z1 = a.w, a.x, a.y, a.z
-        w2, x2, y2, z2 = b.w, b.x, b.y, b.z
-        q = AlgQuat(
-            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-        )
+        p, n = a._ints, b._ints
+        w0, w1, w2, w3, x0, x1, x2, x3, y0, y1, y2, y3, z0, z1, z2, z3, e = n
+        # coordinate u of a*b is Re(a*(b*-u)); b*-i, b*-j, b*-k permute b's blocks
+        ints = (*_real_part(p, n),
+                *_real_part(p, (x0, x1, x2, x3, -w0, -w1, -w2, -w3,
+                                -z0, -z1, -z2, -z3, y0, y1, y2, y3, e)),
+                *_real_part(p, (y0, y1, y2, y3, z0, z1, z2, z3,
+                                -w0, -w1, -w2, -w3, -x0, -x1, -x2, -x3, e)),
+                *_real_part(p, (z0, z1, z2, z3, -y0, -y1, -y2, -y3,
+                                x0, x1, x2, x3, -w0, -w1, -w2, -w3, e)),
+                p[16] * e)
+        g = gcd(*ints)
+        q = _alg(tuple(k // g for k in ints) if g != 1 else ints)
         r = _demote(q) or q
         _ALG_MUL_CACHE[key] = r
     return r
@@ -473,7 +507,8 @@ def quat_conj(a: Quat) -> Quat:
         if a.jbit:
             return _cyc_make(a.num + a.den, a.den, 1)
         return _cyc_make(-a.num, a.den, 0)
-    return AlgQuat(a.w, -a.x, -a.y, -a.z)
+    n = a._ints
+    return _alg((*n[:4], *(-k for k in n[4:16]), n[16]))
 
 
 def quat_neg(a: Quat) -> Quat:
@@ -485,7 +520,8 @@ def quat_neg(a: Quat) -> Quat:
         return q
     q = a._negq
     if q is None:
-        q = AlgQuat(-a.w, -a.x, -a.y, -a.z)
+        n = a._ints
+        q = _alg((*(-k for k in n[:16]), n[16]))
         a._negq = q
     return q
 
@@ -545,10 +581,11 @@ _ARCCOS_INTS = {(x.A, x.B, x.C, x.D, x.den): t for x, t in _ARCCOS.items()}
 
 def _arccos(A: int, B: int, C: int, D: int, den: int) -> Fraction:
     """The ``_ARCCOS`` angle of (A + B sqrt2 + C sqrt5 + D sqrt10) / den,
-    given in lowest terms with den > 0."""
-    a = _ARCCOS_INTS.get((A, B, C, D, den))
+    for den > 0, reduced by one gcd."""
+    g = gcd(A, B, C, D, den)
+    a = _ARCCOS_INTS.get((A // g, B // g, C // g, D // g, den // g))
     if a is None:
-        re = _fe_reduced(A, B, C, D, den)
+        re = _fe(A, B, C, D, den)
         raise ValueError(f"real part {re!r} outside the arccos lookup table")
     return a
 
@@ -559,8 +596,8 @@ def unsigned_angle(q: Quat) -> Fraction:
         if q.jbit:
             return _FH
         return min(Fraction(q.num, q.den), Fraction(2 * q.den - q.num, q.den))
-    w = q.w
-    return _arccos(w.A, w.B, w.C, w.D, w.den)
+    n = q._ints
+    return _arccos(n[0], n[1], n[2], n[3], n[16])
 
 
 def angle_of(q: Quat) -> AngleFraction:
@@ -571,9 +608,9 @@ def angle_of(q: Quat) -> AngleFraction:
 def product_angle(a: Quat, b: Quat) -> Fraction:
     """``unsigned_angle(quat_mul(a, b))``, read from Re(a*b) alone.
 
-    Unless both factors are CycloQuats, the real part is one integer
-    expression in the ``_ints`` of the two factors, reduced by one gcd; the
-    full product is neither built nor cached.
+    Unless both factors are CycloQuats, the real part is ``_real_part`` of
+    the two ``_ints``, reduced by one gcd; the full product is neither built
+    nor cached.
     """
     if type(a) is CycloQuat:
         if type(b) is CycloQuat:
@@ -581,29 +618,8 @@ def product_angle(a: Quat, b: Quat) -> Fraction:
         a = _promote(a)
     elif type(b) is CycloQuat:
         b = _promote(b)
-    # coordinate c of a is (c0 + c1 sqrt2 + c2 sqrt5 + c3 sqrt10) / d, and of b
-    # (C0 + ...) / e; Re(ab) = ww' - xx' - yy' - zz' by the FieldElem product
-    w0, w1, w2, w3, x0, x1, x2, x3, y0, y1, y2, y3, z0, z1, z2, z3, d = a._ints
-    W0, W1, W2, W3, X0, X1, X2, X3, Y0, Y1, Y2, Y3, Z0, Z1, Z2, Z3, e = b._ints
-    A = (w0 * W0 - x0 * X0 - y0 * Y0 - z0 * Z0
-         + 2 * (w1 * W1 - x1 * X1 - y1 * Y1 - z1 * Z1)
-         + 5 * (w2 * W2 - x2 * X2 - y2 * Y2 - z2 * Z2)
-         + 10 * (w3 * W3 - x3 * X3 - y3 * Y3 - z3 * Z3))
-    B = (w0 * W1 - x0 * X1 - y0 * Y1 - z0 * Z1
-         + w1 * W0 - x1 * X0 - y1 * Y0 - z1 * Z0
-         + 5 * (w2 * W3 - x2 * X3 - y2 * Y3 - z2 * Z3
-                + w3 * W2 - x3 * X2 - y3 * Y2 - z3 * Z2))
-    C = (w0 * W2 - x0 * X2 - y0 * Y2 - z0 * Z2
-         + w2 * W0 - x2 * X0 - y2 * Y0 - z2 * Z0
-         + 2 * (w1 * W3 - x1 * X3 - y1 * Y3 - z1 * Z3
-                + w3 * W1 - x3 * X1 - y3 * Y1 - z3 * Z1))
-    D = (w0 * W3 - x0 * X3 - y0 * Y3 - z0 * Z3
-         + w3 * W0 - x3 * X0 - y3 * Y0 - z3 * Z0
-         + w1 * W2 - x1 * X2 - y1 * Y2 - z1 * Z2
-         + w2 * W1 - x2 * X1 - y2 * Y1 - z2 * Z1)
-    den = d * e
-    g = gcd(A, B, C, D, den)
-    return _arccos(A // g, B // g, C // g, D // g, den // g)
+    p, n = a._ints, b._ints
+    return _arccos(*_real_part(p, n), p[16] * n[16])
 
 
 def quat_order(q: Quat) -> int:
@@ -634,7 +650,9 @@ def quat_float4(q: Quat):
         if q.jbit:
             return (0.0, 0.0, cos(th), sin(th))
         return (cos(th), sin(th), 0.0, 0.0)
-    return (float(q.w), float(q.x), float(q.y), float(q.z))
+    w0, w1, w2, w3, x0, x1, x2, x3, y0, y1, y2, y3, z0, z1, z2, z3, d = q._ints
+    return (_float(w0, w1, w2, w3, d), _float(x0, x1, x2, x3, d),
+            _float(y0, y1, y2, y3, d), _float(z0, z1, z2, z3, d))
 
 
 def quat_key(q: Quat):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as Fr
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -76,6 +77,37 @@ def _ref_mul(p, q):
             a1 * b2 + b1 * a2 + 5 * (c1 * d2 + d1 * c2),
             a1 * c2 + c1 * a2 + 2 * (b1 * d2 + d1 * b2),
             a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2)
+
+
+# Hamilton's rule: coordinate u of p*q is the sum of sign * p[i] * q[j]
+_HAMILTON = (((1, 0, 0), (-1, 1, 1), (-1, 2, 2), (-1, 3, 3)),
+             ((1, 0, 1), (1, 1, 0), (1, 2, 3), (-1, 3, 2)),
+             ((1, 0, 2), (-1, 1, 3), (1, 2, 0), (1, 3, 1)),
+             ((1, 0, 3), (1, 1, 2), (-1, 2, 1), (1, 3, 0)))
+
+
+def _ref_quat(q):
+    from pg4 import algebra
+    if type(q) is CycloQuat:
+        q = algebra._promote(q)
+    return [_ref(c) for c in q.coords()]
+
+
+def _ref_quat_mul(p, q):
+    """The product of two quaternions given as four ``_ref`` coordinates."""
+    return [tuple(map(sum, zip(*([s * v for v in _ref_mul(p[i], q[j])] for s, i, j in terms))))
+            for terms in _HAMILTON]
+
+
+def _dense_quats(seed, count):
+    """Quaternions (not units) whose 16 numerators are all nonzero."""
+    rng = random.Random(seed)
+
+    def coord():
+        return FieldElem(*(Fr(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
+                           for _ in range(4)))
+
+    return [AlgQuat(coord(), coord(), coord(), coord()) for _ in range(count)]
 
 
 @settings(max_examples=300, deadline=None)
@@ -184,17 +216,68 @@ def test_product_angle_reads_the_real_part():
 
     mixed = [(a, b) for a in O2 for b in I2] + [(b, a) for a in O2 for b in I2[::5]]
     # and quaternions with all 16 numerators nonzero (no catalog unit has sqrt10)
-    rng = random.Random(2405)
-
-    def coord():
-        return FieldElem(*(Fr(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
-                           for _ in range(4)))
-
-    dense = [AlgQuat(coord(), coord(), coord(), coord()) for _ in range(40)]
+    dense = _dense_quats(2405, 40)
     mixed += list(zip(dense, dense[1:] + dense[:1]))
     got = [outcome(algebra.product_angle, a, b) for a, b in mixed]
     assert got == [outcome(algebra.unsigned_angle, quat_mul(a, b)) for a, b in mixed]
     assert 0 < sum(type(x) is str for x in got) < len(got)
+
+
+def test_products_match_a_fraction_reference():
+    """Full products against Hamilton's rule on Fraction coordinates, which
+    shares nothing with ``_real_part``: every pair of 40 quaternions with all
+    16 numerators nonzero (the sqrt10 terms), and 2O x 2I; and the conjugate
+    and negative of each of the 40."""
+    from pg4.constants import two_I, two_O
+    dense = _dense_quats(2505, 40)
+    pairs = [(a, b) for a in dense for b in dense]
+    pairs += [(a, b) for a in two_O() for b in two_I()]
+
+    def scaled(q):  # integer coordinates, and the factor that made them
+        ref = _ref_quat(q)
+        den = lcm(*(f.denominator for c in ref for f in c))
+        return [tuple(int(f * den) for f in c) for c in ref], den
+
+    refs = {q: scaled(q) for pair in pairs for q in pair}
+    for a, b in pairs:
+        (p, d), (q, e) = refs[a], refs[b]
+        got = [tuple(f * d * e for f in c) for c in _ref_quat(quat_mul(a, b))]
+        assert got == _ref_quat_mul(p, q), (a, b)
+    for a in dense:
+        w, *v = _ref_quat(a)
+        assert _ref_quat(quat_conj(a)) == [w] + [tuple(-f for f in c) for c in v]
+        assert _ref_quat(quat_neg(a)) == [tuple(-f for f in c) for c in [w] + v]
+
+
+def test_quaternion_path_does_no_field_arithmetic(monkeypatch):
+    """Products, negation, conjugation and angles of AlgQuats are integer
+    arithmetic on ``_ints``: no FieldElem operator runs."""
+    from pg4 import algebra
+    from pg4.constants import two_I, two_O
+
+    def refuse(*args):
+        raise AssertionError("FieldElem arithmetic on the quaternion path")
+
+    I2, O2 = list(two_I()), list(two_O())
+    qs = I2 + O2
+    for op in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__", "__neg__"):
+        monkeypatch.setattr(FieldElem, op, refuse)
+    products = {}
+    for a in qs:
+        for b in qs:
+            if type(a) is AlgQuat or type(b) is AlgQuat:
+                key = (algebra._promote(a) if type(a) is CycloQuat else a,
+                       algebra._promote(b) if type(b) is CycloQuat else b)
+                algebra._ALG_MUL_CACHE.pop(key, None)
+            products[a, b] = quat_mul(a, b)
+    for q in qs:
+        if type(q) is AlgQuat:
+            q._negq = None
+        assert quat_neg(quat_neg(q)) is q and quat_conj(quat_conj(q)) is q
+        algebra.unsigned_angle(q)
+    angles = [algebra.product_angle(a, b) for a in I2 for b in I2]
+    monkeypatch.undo()
+    assert angles == [algebra.unsigned_angle(products[a, b]) for a in I2 for b in I2]
 
 
 def test_interned_data():
@@ -213,6 +296,7 @@ def test_interned_data():
     for q in algebra._ALG_CACHE.values():
         *nums, den = q._ints
         assert [Fr(n, den) for n in nums] == [f for c in q.coords() for f in c.key()], q
+        assert hash(q) == hash((1, hash(q.w), hash(q.x), hash(q.y), hash(q.z))), q
 
 
 def test_units_and_promotion():
