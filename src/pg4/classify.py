@@ -4,8 +4,9 @@ The coarse category comes from the left and right quaternion groups: both
 cyclic/dihedral means toroidal, exactly one polyhedral means tubical, both
 polyhedral means polyhedral-or-axial.  An encoded group (``cyclo_codes``) has
 only CycloQuat components, so its sides are cyclic or dihedral: ``classify``
-hands it to ``classify_toroidal``, which reads its codes, without reading the
-side types.  Any other group goes through ``category``.  Inputs must be in
+hands it to ``classify_toroidal``, which reads its torus form (a lattice
+basis and one offset per tag) in O(tags) steps, without a closure sweep and
+without reading the side types.  Any other group goes through ``category``.  Inputs must be in
 standard position (invariant torus T_i^i, Hopf bundle H^i, or the standard
 quaternion groups); there is no general O(4) conjugacy search.
 

@@ -3,8 +3,10 @@
 Groups are plain frozensets of canonical ``Transform4`` values; closure is a
 deterministic work-queue sweep.  Everything downstream (fingerprints, the
 Goursat construction, achiral extensions, left/right quaternion groups) works
-on that element set.  A group closed from ``CycloQuat`` generators keeps its
-integer closure codes until its element set is first read.
+on that element set.  A group generated by ``CycloQuat`` generators is
+encoded instead: it holds its torus form (``TorusForm``: a translation
+lattice on the invariant torus and one coset offset per directional tag),
+found with no sweep, and runs the sweep on the first read of its element set.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from math import lcm
+from math import gcd, lcm
 
 from .algebra import (
     CycloQuat,
@@ -47,41 +49,45 @@ class ClosureCapExceeded(RuntimeError):
 class PointGroup:
     """A finite group: the frozenset ``elements`` and the ``generators`` tuple.
 
-    ``generate`` on CycloQuat generators returns an encoded group.  It keeps
-    the modulus D and the closure codes ``(star, k_l, b_l, k_r, b_r)`` in
-    discovery order (``cyclo_codes``), and builds ``elements`` from them on
-    first read, then drops them.  ``len``, ``==``, ``hash`` and the element
-    set do not depend on which form a group is in.
+    ``generate`` on CycloQuat generators returns an encoded group.  It holds
+    its torus form (``cyclo_codes``, a ``TorusForm``) and no element: ``len``
+    is the form's order, the number of tags times the lattice index.  The
+    first read of ``elements`` runs the closure sweep ``_close_cyclo`` on the
+    generators and drops the form, so the element set and its iteration
+    order are the sweep's.  ``len``, ``==``, ``hash`` and the element set do
+    not depend on which form a group is in.
     """
 
     def __init__(self, elements: frozenset, generators: tuple = ()):
         self._elements = elements
         self.generators = generators
-        self._cyclo = None
+        self._form = None
 
     @classmethod
-    def _encoded(cls, D: int, codes: list, generators: tuple) -> PointGroup:
+    def _encoded(cls, form: TorusForm, generators: tuple) -> PointGroup:
         G = cls(None, generators)
-        G._cyclo = (D, codes)
+        G._form = form
         return G
 
     @property
     def elements(self) -> frozenset:
         if self._elements is None:
-            els = _cyclo_elements(*self._cyclo)
-            self._cyclo = None
+            # the form counted the order, so the sweep closes within it
+            els = _cyclo_elements(*_close_cyclo(list(self.generators), len(self._form)))
+            self._form = None
             self._elements = frozenset(set(els))
         return self._elements
 
     @property
     def cyclo_codes(self):
-        """``(D, codes)`` while the group is encoded, else None: the codes
-        mod 2D of ``_close_cyclo``, the identity's ``(0, 0, 0, 0, 0)`` first."""
-        return self._cyclo
+        """The group's CycloQuat encoding, its ``TorusForm``, while the group
+        is encoded; None once ``elements`` has been read, and for a group
+        made from elements."""
+        return self._form
 
     def __len__(self):
-        if self._cyclo is not None:
-            return len(self._cyclo[1])
+        if self._form is not None:
+            return len(self._form)
         return len(self.elements)
 
     def __iter__(self):
@@ -127,17 +133,25 @@ class PointGroup:
 def generate(gens, cap: int = DEFAULT_CAP) -> PointGroup:
     """Smallest closed set of transformations containing the generators.
 
-    A breadth-first sweep from the identity that multiplies each element found
-    by every generator in turn (``compose(g, h)``).  It runs on integer codes:
-    ``_close_cyclo`` when every generator component is a CycloQuat,
-    ``_close_indexed`` otherwise.  Each ``Transform4`` is made once, in
-    discovery order, so the element set and its iteration order are those of
-    the sweep on ``Transform4`` values.  The CycloQuat sweep returns an
-    encoded group, whose ``Transform4``s are made when ``elements`` is read.
+    When every generator component is a CycloQuat (every toroidal group), the
+    group is encoded: ``_torus_form`` finds its torus form from the
+    generators, with no sweep, and a group whose order, the number of tags
+    times the lattice index, is above the cap is refused from that count.
+    Its elements come from ``_close_cyclo`` on the first read of
+    ``elements``.  Any other list is swept at once by ``_close_indexed``.
+    Both sweeps are breadth-first from the identity, multiply each element
+    found by every generator in turn (``compose(g, h)``) on integer codes,
+    and make each ``Transform4`` once, in discovery order, so the element set
+    and its iteration order are those of the sweep on ``Transform4`` values.
+    Every path raises ``ClosureCapExceeded("not closed within cap N")``
+    exactly when the order is above the cap.
     """
     gens = list(gens)
     if all(type(q) is CycloQuat for h in gens for q in (h.l, h.r)):
-        return PointGroup._encoded(*_close_cyclo(gens, cap), tuple(gens))
+        form = _torus_form(gens)
+        if len(form) > cap:
+            raise ClosureCapExceeded(f"not closed within cap {cap}")
+        return PointGroup._encoded(form, tuple(gens))
     return PointGroup(frozenset(set(_close_indexed(gens, cap))), tuple(gens))
 
 
@@ -154,41 +168,53 @@ class _Memo(dict):
         return value
 
 
-def _close_cyclo(gens: list, cap: int) -> tuple:
-    """The sweep for CycloQuat components, on ints mod 2D: ``(D, codes)``.
-
-    With D the lcm of the generators' angle denominators, exp(kπi/D)·j^b is
-    (k mod 2D, b) and an element is (star, k_l, b_l, k_r, b_r).  Products
-    follow ``quat_mul``'s integer rule; the canonical sign moves k_l below D,
-    adding D to both k.
-    """
+def _cyclo_codes(gens: list) -> tuple:
+    """``(D, codes)``: D the lcm of the generators' angle denominators, and
+    each generator as its code (star, k_l, b_l, k_r, b_r), where
+    exp(kπi/D)·j^b is (k mod 2D, b)."""
     D = lcm(*(q.den for h in gens for q in (h.l, h.r)))
+    return D, [(int(h.star), h.l.num * (D // h.l.den), h.l.jbit,
+                h.r.num * (D // h.r.den), h.r.jbit) for h in gens]
+
+
+def _step(code: tuple, D: int) -> tuple:
+    """A right factor h as (star, k0_l, k1_l, b_l, k0_r, k1_r, b_r): per side,
+    the k that h's component adds to a left factor with j-bit 0 and with
+    j-bit 1."""
+    s, kl, bl, kr, br = code
+    # exp(sπi)j^b · exp(tπi)j^c = exp((s ± t)πi)j^(b^c), with - for b = 1,
+    # and j·j = -1 (t + 1) for b = c = 1: the k shift for b = 0 and b = 1
+    return s, kl, D * bl - kl, bl, kr, D * br - kr, br
+
+
+def _product(g: tuple, step: tuple, D: int) -> tuple:
+    """The code of compose(g, h), for g a code and h a ``_step``; the
+    canonical sign moves k_l below D, adding D to both k."""
     M = 2 * D
-    steps = []
-    for h in gens:
-        step = [int(h.star)]
-        for c in (h.l, h.r):
-            k = c.num * (D // c.den)
-            # exp(sπi)j^b · exp(tπi)j^c = exp((s ± t)πi)j^(b^c), with - for b = 1,
-            # and j·j = -1 (t + 1) for b = c = 1: the k shift for b = 0 and b = 1
-            step += (k, D * c.jbit - k, c.jbit)
-        steps.append(step)
+    s, kl, bl, kr, br = g
+    hs, l0, l1, lb, r0, r1, rb = step
+    # g∘h = [g.l·h.l, g.r·h.r], with g's components swapped when h reverses
+    if hs:
+        kl, bl, kr, br = kr, br, kl, bl
+    k = (kl + (l1 if bl else l0)) % M
+    kk = kr + (r1 if br else r0)
+    if k >= D:
+        k -= D
+        kk += D
+    return s ^ hs, k, bl ^ lb, kk % M, br ^ rb
+
+
+def _close_cyclo(gens: list, cap: int) -> tuple:
+    """The sweep for CycloQuat components, on codes mod 2D: ``(D, codes)``,
+    the identity's ``(0, 0, 0, 0, 0)`` first."""
+    D, codes = _cyclo_codes(gens)
+    steps = [_step(c, D) for c in codes]
     start = (0, 0, 0, 0, 0)
     seen = {start}
     queue = [start]
-    for s, kl, bl, kr, br in queue:
-        for hs, l0, l1, lb, r0, r1, rb in steps:
-            # g∘h = [g.l·h.l, g.r·h.r], with g's components swapped when h reverses
-            if hs:
-                xk, xb, yk, yb = kr, br, kl, bl
-            else:
-                xk, xb, yk, yb = kl, bl, kr, br
-            k = (xk + (l1 if xb else l0)) % M
-            kk = yk + (r1 if yb else r0)
-            if k >= D:
-                k -= D
-                kk += D
-            gh = (s ^ hs, k, xb ^ lb, kk % M, yb ^ rb)
+    for g in queue:
+        for step in steps:
+            gh = _product(g, step, D)
             if gh not in seen:
                 if len(seen) >= cap:
                     raise ClosureCapExceeded(f"not closed within cap {cap}")
@@ -252,6 +278,162 @@ def _close_indexed(gens: list, cap: int) -> list:
                 queue.append(gh)
     canonical = Transform4.canonical
     return [IDENTITY] + [canonical(s == 1, table[l], table[r]) for s, l, r in queue[1:]]
+
+
+# ---------------------------------------------------------------------------
+# the torus form of a toroidal group
+
+# (reversing, jbit_l, jbit_r) -> directional tag
+TAG_OF_BITS = {
+    (False, 0, 0): "1", (False, 1, 1): ".",
+    (False, 0, 1): "/", (False, 1, 0): "\\",
+    (True, 0, 0): "|", (True, 1, 1): "-",
+    (True, 1, 0): "L", (True, 0, 1): "R",
+}
+
+# tag -> the translation (u1, u2) of [exp(2πi a/den) j^jl, exp(2πi b/den) j^jr]:
+# each coordinate as its coefficients of (a, b, h), with h = den/2
+_TRANSLATION = {
+    "1": ((-1, 1, 0), (-1, -1, 0)),
+    ".": ((1, -1, 0), (1, 1, 0)),
+    "/": ((-1, -1, 1), (-1, 1, 0)),
+    "\\": ((1, 1, 0), (1, -1, 1)),
+    "|": ((-1, 1, 0), (-1, -1, 1)),
+    "-": ((1, -1, 0), (1, 1, -1)),
+    "L": ((1, 1, -1), (1, -1, 1)),
+    "R": ((-1, -1, 0), (-1, 1, 0)),
+}
+
+
+def _translations(tag: str, codes, den: int) -> list:
+    """The translations (u1, u2), 0 <= u < den, of the elements with codes
+    (star, a, jl, b, jr) over den, all of directional part tag: the
+    eight-tag formula."""
+    h = den // 2
+    (p1, q1, c1), (p2, q2, c2) = _TRANSLATION[tag]
+    c1, c2 = c1 * h, c2 * h
+    return [((p1 * a + q1 * b + c1) % den, (p2 * a + q2 * b + c2) % den)
+            for _, a, _, b, _ in codes]
+
+
+def _xgcd(x: int, y: int) -> tuple:
+    """``(g, u, v)`` with g = gcd(x, y) = u·x + v·y, for x > 0 and y >= 0."""
+    u0, v0, u1, v1 = 1, 0, 0, 1
+    while y:
+        q, r = divmod(x, y)
+        x, y = y, r
+        u0, u1 = u1, u0 - q * u1
+        v0, v1 = v1, v0 - q * v1
+    return x, u0, v0
+
+
+class TorusForm:
+    """A toroidal group as the paper classifies it: a translation lattice on
+    the invariant torus, and one coset of it per directional tag.
+
+    Translations are int pairs (u1, u2) mod ``den``, for (u1/den, u2/den) in
+    units of 2π.  ``lattice`` is (a, b, c), the Hermite normal form
+    (a, 0), (b, c) of the translation subgroup T: a and c divide den,
+    0 <= b < a, and T holds (den, 0) and (0, den).  T has ``index`` =
+    (den/a)·(den/c) points.  ``offsets`` maps each directional tag of the
+    group, in the order found, to the translation of its coset reduced into
+    [0, a) × [0, c), so equal groups have equal forms.  ``len`` is the
+    group's order: the number of tags times the index.
+    """
+
+    __slots__ = ("den", "lattice", "offsets", "index")
+
+    def __init__(self, den: int, vectors, offsets: dict):
+        """The form over den whose lattice the vectors span together with
+        (den, 0) and (0, den), with a coset through each tag's offset."""
+        a, b, c = den, 0, den
+        for x, y in vectors:
+            x, y = x % den, y % den
+            # (b, c) and (x, y) become (u b + v x, g), with g = gcd(c, y) =
+            # u c + v y, and the combination with second coordinate 0, which
+            # joins (a, 0)
+            g, u, v = _xgcd(c, y)
+            a = gcd(a, (c * x - y * b) // g)
+            b, c = (u * b + v * x) % a, g
+        self.den = den
+        self.lattice = a, b, c
+        self.index = (den // a) * (den // c)
+        self.offsets = {tag: self.reduce(*o) for tag, o in offsets.items()}
+
+    def reduce(self, x: int, y: int) -> tuple:
+        """The representative of (x, y) + T in [0, a) × [0, c)."""
+        a, b, c = self.lattice
+        j, y = divmod(y % self.den, c)
+        return (x - j * b) % a, y
+
+    def count(self, tag: str, p: int, q: int, t: int = 0) -> int:
+        """How many translations of tag's coset lie on p·u1 + q·u2 = t (mod den).
+
+        The values of p·u1 + q·u2 on T are the multiples of g, the gcd of its
+        values on the basis and on (den, 0), (0, den); so the coset meets the
+        line in 0 points or in the index·g/den points of one kernel coset."""
+        a, b, c = self.lattice
+        g = gcd(p * a, p * b + q * c, self.den)
+        o1, o2 = self.offsets[tag]
+        return self.index * g // self.den if (t - p * o1 - q * o2) % g == 0 else 0
+
+    def translations(self, tag: str) -> list:
+        """The translations of tag's coset, listed from the lattice basis."""
+        a, b, c = self.lattice
+        den = self.den
+        o1, o2 = self.offsets[tag]
+        return [((o1 + i * a + j * b) % den, (o2 + j * c) % den)
+                for j in range(den // c) for i in range(den // a)]
+
+    def __len__(self):
+        return len(self.offsets) * self.index
+
+    def __eq__(self, other):
+        if not isinstance(other, TorusForm):
+            return NotImplemented
+        return (self.den, self.lattice, self.offsets) == (other.den, other.lattice, other.offsets)
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"TorusForm(den={self.den}, lattice={self.lattice}, offsets={self.offsets})"
+
+
+def _torus_form(gens: list) -> TorusForm:
+    """The torus form of the group of CycloQuat generators, with no sweep.
+
+    The tag of an element is a homomorphism to the eight torus symmetries,
+    with kernel T, the translations.  A breadth-first search over the tags
+    finds one coset representative per tag: each representative r is
+    multiplied by every generator h as r∘h (h applied first,
+    ``compose(h, r)``), and a product with a new tag represents that tag.
+    By Schreier's lemma T is generated by the p∘q⁻¹, for every other
+    product p and q the representative of its tag.  Both have one
+    directional part, so p∘q⁻¹ is the translation by t(p) − t(q), and the
+    lattice is the Hermite normal form of those differences.
+    """
+    D, codes = _cyclo_codes(gens)
+    den = 2 * D
+
+    def tag_and_translation(code):
+        tag = TAG_OF_BITS[code[0], code[2], code[4]]
+        return tag, _translations(tag, (code,), den)[0]
+
+    reps = {"1": (0, 0)}
+    queue = [(0, 0, 0, 0, 0)]
+    vectors = []
+    for r in queue:
+        step = _step(r, D)
+        for h in codes:
+            p = _product(h, step, D)
+            tag, (x, y) = tag_and_translation(p)
+            if tag in reps:
+                x0, y0 = reps[tag]
+                vectors.append((x - x0, y - y0))
+            else:
+                reps[tag] = x, y
+                queue.append(p)
+    return TorusForm(den, vectors, reps)
 
 
 def from_elements(elements, generators=()) -> PointGroup:
@@ -381,16 +563,29 @@ def left_right_groups(G: PointGroup):
 def left_right_types(G: PointGroup) -> tuple:
     """Types of the left and right quaternion groups of the chiral part.
 
-    An encoded group answers from its codes: ±exp(kπi/D)j^b are (k, b) and
-    (k + D mod 2D, b), so each group holds twice as many quaternions as there
-    are pairs (k mod D, b) among the rotations (k_l < D already)."""
-    if G.cyclo_codes is None:
+    An encoded group answers from its torus form.  The rotations are the
+    cosets of the tags 1 . / \\, and a side's group is cyclic or, when a
+    rotation has a j on that side, dihedral.  Its order is 2|G+|/|K|, with
+    G+ the rotations and K the kernel of the side's projection: the
+    rotations [±1, r] on the left, [l, ±1] on the right.  In translations,
+    K is the points of the 1 coset on u1 + u2 = 0 and of the / coset on
+    u1 + u2 = D for the left, and of the 1 coset on u1 − u2 = 0 and of the
+    \\ coset on u1 − u2 = D for the right."""
+    form = G.cyclo_codes
+    if form is None:
         L, R = left_right_groups(G)
         return classify_quat_group(L), classify_quat_group(R)
-    D, codes = G.cyclo_codes
-    L = {(kl, bl) for s, kl, bl, kr, br in codes if not s}
-    R = {(kr % D, br) for s, kl, bl, kr, br in codes if not s}
-    return tuple(_cyclo_type(2 * len(S), any(b for _, b in S)) for S in (L, R))
+    tags = form.offsets
+    rotations = sum(t in tags for t in "1./\\") * form.index
+    D = form.den // 2
+    sides = []
+    for q, kernel_tag, dihedral_tag in ((1, "/", "\\"), (-1, "\\", "/")):
+        kernel = form.count("1", 1, q)
+        if kernel_tag in tags:
+            kernel += form.count(kernel_tag, 1, q, D)
+        dihedral = "." in tags or dihedral_tag in tags
+        sides.append(_cyclo_type(2 * rotations // kernel, dihedral))
+    return tuple(sides)
 
 
 def _cyclo_type(n: int, dihedral: bool) -> QuatGroupType:

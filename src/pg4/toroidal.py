@@ -42,16 +42,17 @@ from .catalog import (
     toroidal_spec,
 )
 from .constants import MINUS_K, ONE, QI, QJ, QK
-from .group import PointGroup, conjugate, equals, fingerprint
+from .group import (
+    TAG_OF_BITS,
+    PointGroup,
+    TorusForm,
+    _translations,
+    _xgcd,
+    conjugate,
+    equals,
+    fingerprint,
+)
 from .transform import Transform4, compose, conjugate_elem, rotation
-
-# (reversing, jbit_l, jbit_r) -> directional tag
-TAG_OF_BITS = {
-    (False, 0, 0): "1", (False, 1, 1): ".",
-    (False, 0, 1): "/", (False, 1, 0): "\\",
-    (True, 0, 0): "|", (True, 1, 1): "-",
-    (True, 1, 0): "L", (True, 0, 1): "R",
-}
 
 # directional action on (phi1, phi2): (phi1, phi2) -> A(phi1, phi2) + t
 TAG_ACTION = {
@@ -128,66 +129,63 @@ def torus_element(g: Transform4, den: int | None = None) -> TorusElement:
     return TorusElement(tag, u1, u2, den)
 
 
-# tag -> the translation (u1, u2) of [exp(2πi a/den) j^jl, exp(2πi b/den) j^jr]:
-# each coordinate as its coefficients of (a, b, h), with h = den/2
-_TRANSLATION = {
-    "1": ((-1, 1, 0), (-1, -1, 0)),
-    ".": ((1, -1, 0), (1, 1, 0)),
-    "/": ((-1, -1, 1), (-1, 1, 0)),
-    "\\": ((1, 1, 0), (1, -1, 1)),
-    "|": ((-1, 1, 0), (-1, -1, 1)),
-    "-": ((1, -1, 0), (1, 1, -1)),
-    "L": ((1, 1, -1), (1, -1, 1)),
-    "R": ((-1, -1, 0), (-1, 1, 0)),
-}
-
-
-def _translations(tag: str, codes, den: int) -> list:
-    """The translations (u1, u2), 0 <= u < den, of the elements with codes
-    (star, a, jl, b, jr) over den, all of directional part tag: the
-    eight-tag formula."""
-    h = den // 2
-    (p1, q1, c1), (p2, q2, c2) = _TRANSLATION[tag]
-    c1, c2 = c1 * h, c2 * h
-    return [((p1 * a + q1 * b + c1) % den, (p2 * a + q2 * b + c2) % den)
-            for _, a, _, b, _ in codes]
-
-
 def to_torus_rep(G: PointGroup) -> list:
     """Torus elements of G, all over one modulus: twice the lcm of its angle
-    denominators.  The view ``_torus_view(G)``, listed tag by tag."""
-    den, by_tag = _torus_view(G)
-    return [TorusElement(tag, u1, u2, den) for tag, pts in by_tag.items() for u1, u2 in pts]
+    denominators.  The torus view ``_torus_view(G)``, listed tag by tag."""
+    form = _torus_view(G)
+    return [TorusElement(tag, u1, u2, form.den)
+            for tag in form.offsets for u1, u2 in form.translations(tag)]
 
 
-def _torus_view(G: PointGroup) -> tuple:
-    """``(den, {tag: [(u1, u2), ...]})``: the translations of G's elements by
-    directional tag, over den = 2D.  The codes (star, k_l, b_l, k_r, b_r) are
-    an encoded group's, else read from the elements, with D the lcm of their
-    angle denominators and k = num D/den; a component off the standard torus
-    raises ``NotToroidalError``.  They are grouped once by (star, b_l, b_r)."""
+def _torus_view(G: PointGroup) -> TorusForm:
+    """G's ``TorusForm``: an encoded group's own, else the reduction of its
+    elements' translations (``_element_translations``).  There the 1
+    translations span the lattice, each tag's first translation is its
+    offset, and every translation set must be exactly its coset, else
+    ``NotToroidalError``."""
     if G.cyclo_codes is not None:
-        D, codes = G.cyclo_codes
-    else:
-        quats = {q for g in G.elements for q in (g.l, g.r)}
-        if not all(isinstance(q, CycloQuat) for q in quats):
-            raise NotToroidalError("element is not toroidal in standard coordinates")
-        D = lcm(*{q.den for q in quats})
-        k = {q: q.num * (D // q.den) for q in quats}
-        codes = [(g.star, k[g.l], g.l.jbit, k[g.r], g.r.jbit) for g in G.elements]
+        return G.cyclo_codes
+    den, by_tag = _element_translations(G)
+    form = TorusForm(den, by_tag.get("1", ()), {t: pts[0] for t, pts in by_tag.items()})
+    _check_cosets(form, by_tag)
+    return form
+
+
+def _element_translations(G: PointGroup) -> tuple:
+    """``(den, {tag: [(u1, u2), ...]})``: the translations of G's elements by
+    directional tag, in element order.
+
+    The elements' codes (star, k_l, b_l, k_r, b_r) are read with D the lcm of
+    their angle denominators and k = num D/den; a component off the standard
+    torus raises ``NotToroidalError``.  They are grouped once by
+    (star, b_l, b_r), and ``_translations`` gives each group's translations
+    over den = 2D."""
+    quats = {q for g in G.elements for q in (g.l, g.r)}
+    if not all(isinstance(q, CycloQuat) for q in quats):
+        raise NotToroidalError("element is not toroidal in standard coordinates")
+    D = lcm(*{q.den for q in quats})
+    k = {q: q.num * (D // q.den) for q in quats}
     by_bits = {}
-    for c in codes:
+    for g in G.elements:
+        c = (g.star, k[g.l], g.l.jbit, k[g.r], g.r.jbit)
         bits = c[0], c[2], c[4]
         if bits in by_bits:
             by_bits[bits].append(c)
         else:
             by_bits[bits] = [c]
     den = 2 * D
-    by_tag = {}
-    for bits, group in by_bits.items():
-        tag = TAG_OF_BITS[bits]
-        by_tag[tag] = _translations(tag, group, den)
-    return den, by_tag
+    return den, {TAG_OF_BITS[bits]: _translations(TAG_OF_BITS[bits], group, den)
+                 for bits, group in by_bits.items()}
+
+
+def _check_cosets(form: TorusForm, by_tag: dict) -> None:
+    """``NotToroidalError`` unless 1 is a tag and each tag's translation set
+    is the coset of its offset."""
+    if "1" not in by_tag or any(
+            len(set(pts)) != form.index
+            or any(form.reduce(*pt) != form.offsets[tag] for pt in pts)
+            for tag, pts in by_tag.items()):
+        raise NotToroidalError("translation set is not a lattice")
 
 
 # ---------------------------------------------------------------------------
@@ -200,41 +198,35 @@ class TorusLattice:
     s: int
 
 
-def _lattice_points(translations) -> set:
-    """The translations, int pairs over one modulus, and the origin."""
-    pts = set(translations)
-    pts.add((0, 0))
-    return pts
-
-
 def normalize_lattice(translations) -> TorusLattice:
     """Unique (m, n, s) of a lattice of ``TorusElement`` translations, s in the
-    canonical range; the elements may have different moduli."""
+    canonical range; the elements may have different moduli, and the origin
+    counts as a point."""
     den = lcm(*{t.den for t in translations})
-    return _lattice_params(_lattice_points(
-        (t.u1 * (den // t.den), t.u2 * (den // t.den)) for t in translations), den)
+    pts = [(t.u1 * (den // t.den), t.u2 * (den // t.den)) for t in translations]
+    form = TorusForm(den, pts, {"1": (0, 0)})
+    _check_cosets(form, {"1": pts + [(0, 0)]})
+    return _lattice_params(form)
 
 
-def _lattice_params(pts: set, den: int) -> TorusLattice:
-    pts = list(pts)
-    offsets = [(x - y) % den for x, y in pts]
-    m = offsets.count(0)
-    n = len(set(offsets))
-    if m * n != len(pts):
-        raise NotToroidalError("translation set is not a lattice")
-    if n == 1:
-        s0 = 0
-    else:
-        delta = den // n
-        if den % n or delta not in offsets:
-            raise NotToroidalError("missing first lattice line")
+def _lattice_params(form: TorusForm) -> TorusLattice:
+    """(m, n, s) of the 1 lattice: m points on the diagonal u1 = u2, and
+    n = den/g lines u1 − u2 = const, g = gcd(a, b − c).  The point
+    u·(a, 0) + v·(b, c), with u·a + v·(b − c) = g, lies on the first line,
+    and its u1 gives s."""
+    a, b, c = form.lattice
+    den, size = form.den, form.index
+    g, u, v = _xgcd(a, (b - c) % den)
+    n = den // g
+    m = size // n
+    s0 = 0
+    if n > 1:
         # any point of the first line gives the same s0 mod n
-        val = (pts[offsets.index(delta)][0] - delta) * m * n
+        val = ((u * a + v * b) % den - g) * size
         if val % den:
             raise NotToroidalError("lattice point off the parameter grid")
         s0 = (val // den) % n
-    s = _canonical_s(m, n, s0)
-    return TorusLattice(m, n, s)
+    return TorusLattice(m, n, _canonical_s(m, n, s0))
 
 
 def _canonical_s(m: int, n: int, s0: int) -> int:
@@ -250,35 +242,38 @@ def _canonical_s(m: int, n: int, s0: int) -> int:
 # ---------------------------------------------------------------------------
 # classification
 
-def _axis_counts(pts, den):
-    """(m, n, rhombic) for axis-aligned lattices: y-step 1/m, x-step 1/n."""
-    sx = min((x for x, y in pts if y == 0 and x > 0), default=den)
-    sy = min((y for x, y in pts if x == 0 and y > 0), default=den)
-    m, n = den // sy, den // sx
-    return m, n, len(pts) == 2 * m * n
+def _axis_counts(form: TorusForm):
+    """(m, n, rhombic) for axis-aligned lattices: m points on u1 = 0 (y-step
+    1/m), n on u2 = 0 (x-step 1/n)."""
+    m, n = form.count("1", 1, 0), form.count("1", 0, 1)
+    return m, n, form.index == 2 * m * n
 
 
-def _diag_counts(pts, den):
+def _diag_counts(form: TorusForm):
     """(M, N, rhombic): points on the principal and secondary diagonals."""
-    M = sum(1 for x, y in pts if x == y)
-    N = sum(1 for x, y in pts if (x + y) % den == 0)
-    return M, N, len(pts) == M * N
+    M, N = form.count("1", 1, -1), form.count("1", 1, 1)
+    return M, N, form.index == M * N
 
 
 # the torus swap (phi1, phi2) -> (phi2, phi1), conjugation by [i, k], on directional tags
 _SWAPPED_TAG = {"|": "-", "-": "|", "L": "R", "R": "L"}
 
 
-def _has_mirror(by_tag, tag: str, den: int) -> bool:
+def _swapped(form: TorusForm) -> TorusForm:
+    """The form of the torus swap of the group: (u1, u2) -> (u2, u1)."""
+    a, b, c = form.lattice
+    return TorusForm(form.den, [(0, a), (c, b)],
+                     {_SWAPPED_TAG.get(t, t): (o2, o1) for t, (o1, o2) in form.offsets.items()})
+
+
+# the line p·u1 + q·u2 = 0 that an element with directional part tag fixes
+# when its translation lies on it
+_MIRROR_LINE = {"|": (0, 1), "-": (1, 0), "/": (1, 1), "\\": (1, -1)}
+
+
+def _has_mirror(form: TorusForm, tag: str) -> bool:
     """Some element with directional part tag fixes a line: a mirror, not a glide."""
-    pts = by_tag[tag]
-    if tag == "|":
-        return any(u2 == 0 for u1, u2 in pts)
-    if tag == "-":
-        return any(u1 == 0 for u1, u2 in pts)
-    if tag == "/":
-        return any((u1 + u2) % den == 0 for u1, u2 in pts)
-    return any(u1 == u2 for u1, u2 in pts)  # "\\"
+    return form.count(tag, *_MIRROR_LINE[tag]) > 0
 
 
 def _one_mirror_subtype(mirror: bool, rhombic: bool) -> str:
@@ -294,48 +289,44 @@ def _two_mirror_subtype(mirror_a: bool, mirror_b: bool, rhombic: bool) -> str:
 
 
 def classify_toroidal(G: PointGroup) -> GroupSpec:
-    """The catalog spec of G, read from its torus view ``_torus_view(G)`` alone,
-    with no ``TorusElement``.  The tags pick the family, the ``1``
-    translations give the lattice, and the wallpaper subtype comes from which
-    mirror lines hold an element."""
-    den, by_tag = _torus_view(G)
-    tags = frozenset(by_tag)
+    """The catalog spec of G, read from its torus form ``_torus_view(G)`` in
+    O(tags) steps, with no translation listed and no ``TorusElement``.  The
+    tags pick the family, the lattice gives the parameters, and the
+    wallpaper subtype comes from which mirror lines meet a tag's coset."""
+    form = _torus_view(G)
+    tags = frozenset(form.offsets)
     if tags == {"1", "-"}:  # read the group as its torus swap, a |/ group
-        by_tag = {_SWAPPED_TAG.get(t, t): [(u2, u1) for u1, u2 in pts]
-                  for t, pts in by_tag.items()}
+        form = _swapped(form)
         tags = frozenset(("1", "|"))
-    pts = _lattice_points(by_tag.get("1", ()))
 
     if tags <= {"1"} or tags == {"1", "."}:
-        lat = _lattice_params(pts, den)
+        lat = _lattice_params(form)
         fam = "1" if tags <= {"1"} else "."
         params = {"m": lat.m, "n": lat.n, "s": lat.s}
     elif tags == {"1", "|"}:
-        m, n, rhombic = _axis_counts(pts, den)
-        fam = "|/" + _one_mirror_subtype(_has_mirror(by_tag, "|", den), rhombic)
+        m, n, rhombic = _axis_counts(form)
+        fam = "|/" + _one_mirror_subtype(_has_mirror(form, "|"), rhombic)
         params = {"m": m, "n": n}
     elif tags == {"1", "/"} or tags == {"1", "\\"}:
-        M, N, rhombic = _diag_counts(pts, den)
+        M, N, rhombic = _diag_counts(form)
         tag = "/" if "/" in tags else "\\"
-        fam = tag + "/" + _one_mirror_subtype(_has_mirror(by_tag, tag, den), rhombic)
+        fam = tag + "/" + _one_mirror_subtype(_has_mirror(form, tag), rhombic)
         params = {"m": M, "n": N}
     elif tags == {"1", ".", "/", "\\"}:
-        M, N, rhombic = _diag_counts(pts, den)
-        sub = _two_mirror_subtype(_has_mirror(by_tag, "/", den),
-                                  _has_mirror(by_tag, "\\", den), rhombic)
+        M, N, rhombic = _diag_counts(form)
+        sub = _two_mirror_subtype(_has_mirror(form, "/"), _has_mirror(form, "\\"), rhombic)
         fam, params = "X/" + sub, {"m": M, "n": N}
     elif tags == {"1", "|", "-", "."}:
-        m, n, rhombic = _axis_counts(pts, den)
-        sub = _two_mirror_subtype(_has_mirror(by_tag, "|", den),
-                                  _has_mirror(by_tag, "-", den), rhombic)
+        m, n, rhombic = _axis_counts(form)
+        sub = _two_mirror_subtype(_has_mirror(form, "|"), _has_mirror(form, "-"), rhombic)
         if sub == "p2gm":  # the swap of a +/p2mg group
             sub, m, n = "p2mg", n, m
         fam, params = "+/" + sub, {"m": m, "n": n}
     elif tags == {"1", ".", "L", "R"}:
-        a, b = _square_lattice_params(pts, den)
+        a, b = _square_lattice_params(form)
         fam, params = "L", {"a": a, "b": b}
     elif tags == {"1", ".", "/", "\\", "|", "-", "L", "R"}:
-        c2 = len(pts)
+        c2 = form.index
         k = _isqrt_exact(c2)
         if k is not None:
             sub_kind, nn = "U", k
@@ -344,7 +335,7 @@ def classify_toroidal(G: PointGroup) -> GroupSpec:
             if k is None:
                 raise NotToroidalError("full torus group with non-square lattice")
             sub_kind, nn = "S", k
-        sub = "p4mm" if all(_has_mirror(by_tag, t, den) for t in "|-/\\") else "p4gm"
+        sub = "p4mm" if all(_has_mirror(form, t) for t in "|-/\\") else "p4gm"
         fam, params = "*/" + sub + sub_kind, {"n": nn}
     else:
         raise NotToroidalError(f"unrecognized directional group {sorted(tags)}")
@@ -356,20 +347,33 @@ def _isqrt_exact(x: int):
     return k if k * k == x else None
 
 
-def _square_lattice_params(pts, den):
-    """(a, b), both >= 0 and in either order, for a square lattice of a^2 + b^2
-    points; ``canonicalize_duplicates`` puts a >= b."""
-    c2 = len(pts)
-    best = min(((x * x + y * y, x, y) for x, y in pts if (x, y) != (0, 0)), default=None)
-    if best is None:
-        return (1, 0) if c2 == 1 else (0, 0)
-    _, x, y = best
-    if (x * c2) % den or (y * c2) % den:
+def _square_lattice_params(form: TorusForm):
+    """(a, b), both >= 0 and in either order, for a square lattice of
+    a^2 + b^2 points; ``canonicalize_duplicates`` puts a >= b.
+
+    A shortest lattice vector comes from Gauss reduction of the basis; the
+    lattice is square when the vector turned by a quarter turn is in it.
+    Of the shortest vectors, the one read is the least (x, y) with both
+    coordinates >= 0: the least (x² + y², x, y) over the lattice points in
+    [0, den)²."""
+    size, den = form.index, form.den
+    if size == 1:
+        return 1, 0
+    a, b, c = form.lattice
+    v, w = (a, 0), (b, c)
+    while True:
+        nv, nw = v[0] ** 2 + v[1] ** 2, w[0] ** 2 + w[1] ** 2
+        if nw < nv:
+            v, w, nv, nw = w, v, nw, nv
+        mu = (2 * (v[0] * w[0] + v[1] * w[1]) + nv) // (2 * nv)  # the nearest int
+        if mu == 0:
+            break
+        w = (w[0] - mu * v[0], w[1] - mu * v[1])
+    x, y = v
+    if form.reduce(-y, x) != (0, 0):
         raise NotToroidalError("lattice is not a square sublattice of the grid")
-    a, b = x * c2 // den, y * c2 // den
-    if a * a + b * b != c2:
-        raise NotToroidalError("minimal vector does not generate the square lattice")
-    return a, b
+    x, y = min(r for r in ((x, y), (-y, x), (-x, -y), (y, -x)) if r[0] >= 0 and r[1] >= 0)
+    return x * size // den, y * size // den
 
 
 # ---------------------------------------------------------------------------

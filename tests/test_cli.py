@@ -169,6 +169,24 @@ def test_closure_cap_is_a_one_line_error(tmp_path, monkeypatch, capsys):
     assert captured.err.startswith("error: build: group closure: tor:1:m=10,n=11,s=0 has order 110")
 
 
+def test_over_cap_toroidal_file_is_refused_before_closure(tmp_path, monkeypatch, capsys):
+    """A CycloQuat generator file is refused from the order its torus form
+    counts, with the sweep's message, before any closure."""
+    from pg4 import cli, group
+    from pg4.catalog import family_row, parse_spec
+    from pg4.transform import transform_to_json
+    gens = family_row(parse_spec("tor:1:m=1,n=3000000,s=0")).generators(1, 3_000_000, 0)
+    path = tmp_path / "gens.jsonl"
+    path.write_text("\n".join(json.dumps(transform_to_json(g)) for g in gens))
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("closure sweep started")
+
+    monkeypatch.setattr(group, "_close_cyclo", no_sweep)
+    assert cli.main(["classify", "--generators", str(path)]) == 2
+    assert capsys.readouterr().err == "error: classify: group closure: not closed within cap 2000000\n"
+
+
 _EXACT_LAYER_SCRIPT = """
 import contextlib, io, json, sys
 import pg4

@@ -24,11 +24,22 @@ from pg4.catalog import (
     spec_order,
     toroidal_spec,
 )
-from pg4.group import conjugate, equals, from_elements, generate, order
+from pg4.group import (
+    DEFAULT_CAP,
+    TAG_OF_BITS,
+    _close_cyclo,
+    _translations,
+    conjugate,
+    equals,
+    from_elements,
+    generate,
+    order,
+)
 from pg4.toroidal import (
     _DUPLICATION_RULES,
     _PARAM_CLASSES,
     _searched_duplicate,
+    _torus_view,
     NotToroidalError,
     TAG_ACTION,
     canonicalize_duplicates,
@@ -366,6 +377,88 @@ def test_encoded_subgroups_match_element_path(data):
     pool = sorted(G.elements, key=lambda g: g._hash)
     gens = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
     _read_both_ways(generate(gens))
+
+
+# ---------------------------------------------------------------------------
+# the torus form against the closure sweep
+
+def _sweep_view(gens):
+    """``(den, {tag: translation set})`` of the codes that ``_close_cyclo``
+    sweeps and ``elements`` decodes: the sweep's torus view."""
+    D, codes = _close_cyclo(list(gens), DEFAULT_CAP)
+    by_tag = {}
+    for c in codes:
+        by_tag.setdefault(TAG_OF_BITS[c[0], c[2], c[4]], []).append(c)
+    return 2 * D, {tag: set(_translations(tag, cs, 2 * D)) for tag, cs in by_tag.items()}
+
+
+def test_torus_form_matches_the_sweep():
+    """Per tag, the translations listed from the torus form are the sweep's.
+    The generator sets are those of every toroidal spec of
+    ``list_catalog(200)``, of ``duplication_rows(12)`` (not in catalog
+    form), of swapped ``|/`` groups (tags ``{1, -}``) and of random
+    subgroups.  Every 25th group is also read through ``elements``: it drops
+    its form, and its element-backed view reduces to the same form."""
+    from pg4.constants import QI, QK
+    from pg4.transform import rotation
+    rng = random.Random(2601)
+    gen_sets = [build_unchecked(sp).generators for sp in list_catalog(200) if sp.kind == "toroidal"]
+    gen_sets += [build_unchecked(sp).generators for sp in duplication_rows(12)]
+    gen_sets += [conjugate(build(sp), rotation(QI, QK)).generators
+                 for sp in list_catalog(60) if sp.family.startswith("|/")]
+    for sp in rng.sample(_SMALL_TOROIDAL, 200):
+        pool = sorted(build(sp).elements, key=lambda g: g._hash)
+        gen_sets.append(rng.sample(pool, rng.randint(1, min(3, len(pool)))))
+    for i, gens in enumerate(gen_sets):
+        G = generate(gens)
+        form = G.cyclo_codes
+        den, want = _sweep_view(gens)
+        assert form.den == den and {t: set(form.translations(t)) for t in form.offsets} == want
+        assert len(G) == sum(map(len, want.values()))
+        if i % 25 == 0:
+            assert len(G.elements) == len(form) and G.cyclo_codes is None
+            assert _torus_view(G) == form
+
+
+def test_toroidal_round_trips_run_no_sweep(monkeypatch):
+    """Neither closure sweep runs in a toroidal round trip, through the
+    catalog door or a generator file; ``len`` and ``build``'s order check
+    count the torus form, and only ``elements`` sweeps."""
+    import pg4.group
+    from pg4.classify import classify
+    from pg4.transform import transform_from_json, transform_to_json
+    rng = random.Random(2602)
+    specs = rng.sample([sp for sp in list_catalog(200) if sp.kind == "toroidal"], 200)
+    files = [(canonicalize_duplicates(sp),
+              [json.dumps(transform_to_json(g)) for g in build_unchecked(sp).generators])
+             for sp in specs[:50] + duplication_rows(12)]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("closure sweep started")
+
+    for name in ("_close_cyclo", "_close_indexed"):
+        monkeypatch.setattr(pg4.group, name, forbidden)
+    for sp in specs:
+        assert classify(build(sp)) == sp, sp.spec_string()
+    for want, lines in files:
+        assert classify(generate([transform_from_json(json.loads(ln)) for ln in lines])) == want
+    G = build(parse_spec("tor:1:m=1,n=1900000,s=0"))
+    assert len(G) == 1_900_000 and G.cyclo_codes is not None
+    with pytest.raises(AssertionError, match="closure sweep started"):
+        G.elements
+
+
+def test_element_view_refuses_a_set_that_is_not_a_group():
+    """An element set whose translations are not one lattice coset per tag
+    is refused: a ``.`` element moved off its coset, or one taken out."""
+    from pg4.constants import ONE
+    from pg4.transform import compose, rotation
+    G = build(next(sp for sp in list_catalog(24) if sp.family == "."))
+    x = next(g for g in G.elements if not g.star and g.l.jbit and g.r.jbit)
+    moved = compose(x, rotation(CycloQuat(Fr(1, 7)), ONE))
+    for S in ((G.elements - {x}) | {moved}, G.elements - {x}):
+        with pytest.raises(NotToroidalError, match="translation set is not a lattice"):
+            classify_toroidal(from_elements(S))
 
 
 @pytest.mark.parametrize("text", [
