@@ -414,11 +414,6 @@ def _torus_form(gens: list) -> TorusForm:
     """
     D, codes = _cyclo_codes(gens)
     den = 2 * D
-
-    def tag_and_translation(code):
-        tag = TAG_OF_BITS[code[0], code[2], code[4]]
-        return tag, _translations(tag, (code,), den)[0]
-
     reps = {"1": (0, 0)}
     queue = [(0, 0, 0, 0, 0)]
     vectors = []
@@ -426,7 +421,8 @@ def _torus_form(gens: list) -> TorusForm:
         step = _step(r, D)
         for h in codes:
             p = _product(h, step, D)
-            tag, (x, y) = tag_and_translation(p)
+            tag = TAG_OF_BITS[p[0], p[2], p[4]]
+            [(x, y)] = _translations(tag, (p,), den)
             if tag in reps:
                 x0, y0 = reps[tag]
                 vectors.append((x - x0, y - y0))

@@ -9,15 +9,15 @@ All torus data here lives in units of 2*pi.  A translation is a pair of ints
 (u1, u2) modulo one positive modulus den, standing for (u1/den, u2/den) mod 1.
 Every element of a group is put over the same modulus, twice the lcm of the
 group's angle denominators, so lattice and mirror tests are plain int
-arithmetic.  ``_translations`` holds the eight-tag translation formula.
+arithmetic.  ``group._translations`` holds the eight-tag translation formula.
 
-A group has one torus view, ``_torus_view(G) = (den, {tag: [(u1, u2), ...]})``.
-It reads the codes (star, k_l, b_l, k_r, b_r) of the elements
-[exp(k_l πi/D) j^b_l, exp(k_r πi/D) j^b_r]: an encoded group's closure codes,
-or those of an element-backed group's elements.  den is 2D, and the codes,
-grouped once by (star, b_l, b_r), give the translations of each tag from
-(k_l, k_r).  ``classify_toroidal`` reads the view and makes no
-``TorusElement``; ``to_torus_rep`` lists it as ``TorusElement``s.
+A group has one torus view, ``_torus_view(G)``, its ``group.TorusForm``: the
+Hermite normal form of its translation lattice and one coset offset per
+directional tag.  An encoded group holds it from ``generate``; an
+element-backed group's translations are reduced to it.
+``classify_toroidal`` reads the form in O(tags) steps: it lists no
+translation and makes no ``TorusElement``.  ``to_torus_rep`` lists the form
+as ``TorusElement``s.
 """
 
 from __future__ import annotations
