@@ -1,24 +1,24 @@
 """Finite groups of 4-dimensional orthogonal transformations.
 
-Groups are plain frozensets of canonical ``Transform4`` values; closure is a
-deterministic work-queue sweep.  Everything downstream (fingerprints, the
-Goursat construction, achiral extensions, left/right quaternion groups) works
-on that element set.  A group generated by ``CycloQuat`` generators is
-encoded instead: it holds its torus form (``TorusForm``: a translation
-lattice on the invariant torus and one coset offset per directional tag),
-found with no sweep, and runs the sweep on the first read of its element set.
+Groups are plain frozensets of canonical ``Transform4`` values; closure is
+one deterministic work-queue sweep, ``_close_indexed``.  Everything
+downstream (fingerprints, the Goursat construction, achiral extensions,
+left/right quaternion groups) works on that element set.  A group generated
+by ``CycloQuat`` generators is encoded instead: it holds its torus form
+(``TorusForm``: a translation lattice on the invariant torus and one coset
+offset per directional tag), found with no sweep, and runs that sweep on the
+first read of its element set.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from math import gcd, lcm
 
 from .algebra import (
     CycloQuat,
-    _cyc_make,
     product_angle,
     quat_conj,
     quat_float4,
@@ -52,10 +52,11 @@ class PointGroup:
     ``generate`` on CycloQuat generators returns an encoded group.  It holds
     its torus form (``cyclo_codes``, a ``TorusForm``) and no element: ``len``
     is the form's order, the number of tags times the lattice index.  The
-    first read of ``elements`` runs the closure sweep ``_close_cyclo`` on the
-    generators and drops the form, so the element set and its iteration
-    order are the sweep's.  ``len``, ``==``, ``hash`` and the element set do
-    not depend on which form a group is in.
+    first read of ``elements`` runs the closure sweep ``_close_indexed`` on
+    the generators, capped at that order, and drops the form, so the element
+    set and its iteration order are those of every other generated group.
+    ``len``, ``==``, ``hash`` and the element set do not depend on which
+    form a group is in.
     """
 
     def __init__(self, elements: frozenset, generators: tuple = ()):
@@ -73,7 +74,7 @@ class PointGroup:
     def elements(self) -> frozenset:
         if self._elements is None:
             # the form counted the order, so the sweep closes within it
-            els = _cyclo_elements(*_close_cyclo(list(self.generators), len(self._form)))
+            els = _close_indexed(list(self.generators), len(self._form))
             self._form = None
             self._elements = frozenset(set(els))
         return self._elements
@@ -137,14 +138,15 @@ def generate(gens, cap: int = DEFAULT_CAP) -> PointGroup:
     group is encoded: ``_torus_form`` finds its torus form from the
     generators, with no sweep, and a group whose order, the number of tags
     times the lattice index, is above the cap is refused from that count.
-    Its elements come from ``_close_cyclo`` on the first read of
-    ``elements``.  Any other list is swept at once by ``_close_indexed``.
-    Both sweeps are breadth-first from the identity, multiply each element
-    found by every generator in turn (``compose(g, h)``) on integer codes,
-    and make each ``Transform4`` once, in discovery order, so the element set
-    and its iteration order are those of the sweep on ``Transform4`` values.
-    Every path raises ``ClosureCapExceeded("not closed within cap N")``
-    exactly when the order is above the cap.
+    Its elements come from the closure sweep ``_close_indexed`` on the first
+    read of ``elements``; any other list is swept by it at once.  The sweep
+    is breadth-first from the identity, multiplies each element found by
+    every generator in turn (``compose(g, h)``) on indices into a quaternion
+    table, and makes each ``Transform4`` once, in discovery order, so the
+    element set and its iteration order are those of the sweep on
+    ``Transform4`` values.  Every path raises
+    ``ClosureCapExceeded("not closed within cap N")`` exactly when the order
+    is above the cap.
     """
     gens = list(gens)
     if all(type(q) is CycloQuat for h in gens for q in (h.l, h.r)):
@@ -204,35 +206,8 @@ def _product(g: tuple, step: tuple, D: int) -> tuple:
     return s ^ hs, k, bl ^ lb, kk % M, br ^ rb
 
 
-def _close_cyclo(gens: list, cap: int) -> tuple:
-    """The sweep for CycloQuat components, on codes mod 2D: ``(D, codes)``,
-    the identity's ``(0, 0, 0, 0, 0)`` first."""
-    D, codes = _cyclo_codes(gens)
-    steps = [_step(c, D) for c in codes]
-    start = (0, 0, 0, 0, 0)
-    seen = {start}
-    queue = [start]
-    for g in queue:
-        for step in steps:
-            gh = _product(g, step, D)
-            if gh not in seen:
-                if len(seen) >= cap:
-                    raise ClosureCapExceeded(f"not closed within cap {cap}")
-                seen.add(gh)
-                queue.append(gh)
-    return D, queue
-
-
-def _cyclo_elements(D: int, codes: list) -> list:
-    """The ``Transform4``s of ``_close_cyclo`` codes, in their order."""
-    quat = [_Memo(partial(_cyc_make, den=D, jbit=b)) for b in (0, 1)]  # [b][k]
-    canonical = Transform4.canonical
-    return [IDENTITY] + [canonical(s == 1, quat[bl][kl], quat[br][kr])
-                         for s, kl, bl, kr, br in codes[1:]]
-
-
 def _close_indexed(gens: list, cap: int) -> list:
-    """The sweep for any components, on indices into a per-call table.
+    """The closure sweep of ``generate``, on indices into a per-call table.
 
     A quaternion with ``quat_sign_flip`` false gets an even index 2m and its
     negative 2m + 1, so the canonical sign toggles the low bit of both

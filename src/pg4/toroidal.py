@@ -685,7 +685,7 @@ def duplication_conjugator(spec1: GroupSpec, spec2: GroupSpec):
             h1 = rotation(ul, ur)
             try:
                 G2a = conjugate(G2, h1)
-                to_torus_rep(G2a)
+                _torus_view(G2a)
             except (RepresentationError, NotToroidalError):
                 continue
             h2 = _standard_conjugator(G1, G2a)

@@ -182,7 +182,7 @@ def test_over_cap_toroidal_file_is_refused_before_closure(tmp_path, monkeypatch,
     def no_sweep(*args, **kwargs):
         raise AssertionError("closure sweep started")
 
-    monkeypatch.setattr(group, "_close_cyclo", no_sweep)
+    monkeypatch.setattr(group, "_close_indexed", no_sweep)
     assert cli.main(["classify", "--generators", str(path)]) == 2
     assert capsys.readouterr().err == "error: classify: group closure: not closed within cap 2000000\n"
 

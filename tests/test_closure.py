@@ -18,6 +18,7 @@ from pg4.catalog import (
     GroupSpec,
     build,
     list_catalog,
+    parse_spec,
     polyhedral_spec,
     tubical_spec,
 )
@@ -79,6 +80,12 @@ def _is_cyclo(g):
     return type(g.l) is CycloQuat and type(g.r) is CycloQuat
 
 
+# one spec per toroidal tag set, of orders 432 to 896
+_TAG_SET_SPECS = ("tor:1:m=1,n=696,s=271", "tor:.:m=1,n=392,s=8", "tor:|/pm:m=1,n=438",
+                  "tor://cm:m=2,n=224", "tor:X/p2gg:m=6,n=36", "tor:+/p2mg:m=6,n=30",
+                  "tor:L:a=11,b=10", "tor:*/p4gmS:n=6")
+
+
 def test_toroidal_lists_match_oracle():
     rng = random.Random(1101)
     specs = [sp for sp in list_catalog(200) if sp.kind == "toroidal"]
@@ -86,6 +93,10 @@ def test_toroidal_lists_match_oracle():
         for gens in _lists(build(sp), rng):
             assert all(_is_cyclo(g) for g in gens)
             check_closure(gens, rng)
+    for text in _TAG_SET_SPECS:
+        gens = build(parse_spec(text)).generators
+        assert all(_is_cyclo(g) for g in gens)
+        check_closure(gens, rng)
 
 
 def test_tubical_lists_match_oracle():

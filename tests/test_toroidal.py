@@ -27,7 +27,10 @@ from pg4.catalog import (
 from pg4.group import (
     DEFAULT_CAP,
     TAG_OF_BITS,
-    _close_cyclo,
+    ClosureCapExceeded,
+    _cyclo_codes,
+    _product,
+    _step,
     _translations,
     conjugate,
     equals,
@@ -320,7 +323,7 @@ def test_classify_builds_no_transforms(monkeypatch, tmp_path):
         raise AssertionError("a Transform4 or a TorusElement was built")
 
     monkeypatch.setattr(Transform4, "canonical", forbidden)
-    monkeypatch.setattr(pg4.group, "_cyc_make", forbidden)
+    monkeypatch.setattr(pg4.group, "_close_indexed", forbidden)
     monkeypatch.setattr(TorusElement, "__init__", forbidden)
     # ``pg4.classify`` is the function; the module is reached by name
     classify_module = import_module("pg4.classify")
@@ -380,12 +383,32 @@ def test_encoded_subgroups_match_element_path(data):
 
 
 # ---------------------------------------------------------------------------
-# the torus form against the closure sweep
+# the torus form against a closure sweep on integer codes
+
+def _code_sweep(gens: list, cap: int) -> tuple:
+    """The closure sweep for CycloQuat components, on codes mod 2D:
+    ``(D, codes)``, the identity's ``(0, 0, 0, 0, 0)`` first.  It shares only
+    the code product rule with ``_torus_form``, not its search."""
+    D, codes = _cyclo_codes(gens)
+    steps = [_step(c, D) for c in codes]
+    start = (0, 0, 0, 0, 0)
+    seen = {start}
+    queue = [start]
+    for g in queue:
+        for step in steps:
+            gh = _product(g, step, D)
+            if gh not in seen:
+                if len(seen) >= cap:
+                    raise ClosureCapExceeded(f"not closed within cap {cap}")
+                seen.add(gh)
+                queue.append(gh)
+    return D, queue
+
 
 def _sweep_view(gens):
-    """``(den, {tag: translation set})`` of the codes that ``_close_cyclo``
-    sweeps and ``elements`` decodes: the sweep's torus view."""
-    D, codes = _close_cyclo(list(gens), DEFAULT_CAP)
+    """``(den, {tag: translation set})`` of every code that ``_code_sweep``
+    reaches: the torus view of the whole group, element by element."""
+    D, codes = _code_sweep(list(gens), DEFAULT_CAP)
     by_tag = {}
     for c in codes:
         by_tag.setdefault(TAG_OF_BITS[c[0], c[2], c[4]], []).append(c)
@@ -393,12 +416,13 @@ def _sweep_view(gens):
 
 
 def test_torus_form_matches_the_sweep():
-    """Per tag, the translations listed from the torus form are the sweep's.
-    The generator sets are those of every toroidal spec of
+    """Per tag, the translations listed from the torus form are those of the
+    integer-code sweep.  The generator sets are those of every toroidal spec of
     ``list_catalog(200)``, of ``duplication_rows(12)`` (not in catalog
     form), of swapped ``|/`` groups (tags ``{1, -}``) and of random
-    subgroups.  Every 25th group is also read through ``elements``: it drops
-    its form, and its element-backed view reduces to the same form."""
+    subgroups.  Every 25th group is also read through ``elements``, which
+    runs the closure sweep of ``generate``: it drops its form, and its
+    element-backed view reduces to the same form."""
     from pg4.constants import QI, QK
     from pg4.transform import rotation
     rng = random.Random(2601)
@@ -421,7 +445,7 @@ def test_torus_form_matches_the_sweep():
 
 
 def test_toroidal_round_trips_run_no_sweep(monkeypatch):
-    """Neither closure sweep runs in a toroidal round trip, through the
+    """The closure sweep does not run in a toroidal round trip, through the
     catalog door or a generator file; ``len`` and ``build``'s order check
     count the torus form, and only ``elements`` sweeps."""
     import pg4.group
@@ -436,8 +460,7 @@ def test_toroidal_round_trips_run_no_sweep(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("closure sweep started")
 
-    for name in ("_close_cyclo", "_close_indexed"):
-        monkeypatch.setattr(pg4.group, name, forbidden)
+    monkeypatch.setattr(pg4.group, "_close_indexed", forbidden)
     for sp in specs:
         assert classify(build(sp)) == sp, sp.spec_string()
     for want, lines in files:
