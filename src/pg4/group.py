@@ -6,8 +6,8 @@ downstream (fingerprints, the Goursat construction, achiral extensions,
 left/right quaternion groups) works on that element set.  A group generated
 by ``CycloQuat`` generators is encoded instead: it holds its torus form
 (``TorusForm``: a translation lattice on the invariant torus and one coset
-offset per directional tag), found with no sweep, and runs that sweep on the
-first read of its element set.
+offset per directional tag), found with no sweep, runs that sweep on the
+first read of its element set, and keeps the form.
 """
 
 from __future__ import annotations
@@ -50,13 +50,13 @@ class PointGroup:
     """A finite group: the frozenset ``elements`` and the ``generators`` tuple.
 
     ``generate`` on CycloQuat generators returns an encoded group.  It holds
-    its torus form (``cyclo_codes``, a ``TorusForm``) and no element: ``len``
-    is the form's order, the number of tags times the lattice index.  The
-    first read of ``elements`` runs the closure sweep ``_close_indexed`` on
-    the generators, capped at that order, and drops the form, so the element
-    set and its iteration order are those of every other generated group.
-    ``len``, ``==``, ``hash`` and the element set do not depend on which
-    form a group is in.
+    its torus form (``cyclo_codes``, a ``TorusForm``) and at first no
+    element: ``len`` is the form's order, the number of tags times the
+    lattice index.  The first read of ``elements`` runs the closure sweep
+    ``_close_indexed`` on the generators, capped at that order, and keeps
+    the form, so the element set and its iteration order are those of every
+    other generated group.  ``len``, ``==``, ``hash`` and the element set do
+    not depend on which form a group is in.
     """
 
     def __init__(self, elements: frozenset, generators: tuple = ()):
@@ -75,15 +75,14 @@ class PointGroup:
         if self._elements is None:
             # the form counted the order, so the sweep closes within it
             els = _close_indexed(list(self.generators), len(self._form))
-            self._form = None
             self._elements = frozenset(set(els))
         return self._elements
 
     @property
     def cyclo_codes(self):
-        """The group's CycloQuat encoding, its ``TorusForm``, while the group
-        is encoded; None once ``elements`` has been read, and for a group
-        made from elements."""
+        """The group's CycloQuat encoding, its ``TorusForm``, for a group
+        that ``generate`` encoded, whether or not ``elements`` has been read;
+        None for a group made from elements."""
         return self._form
 
     def __len__(self):

@@ -14,7 +14,8 @@ arithmetic.  ``group._translations`` holds the eight-tag translation formula.
 A group has one torus view, ``_torus_view(G)``, its ``group.TorusForm``: the
 Hermite normal form of its translation lattice and one coset offset per
 directional tag.  An encoded group holds it from ``generate``; an
-element-backed group's translations are reduced to it.
+element-backed group gets it from ``group._torus_form`` on its elements, the
+same Schreier search, and is refused unless the form counts its elements.
 ``classify_toroidal`` reads the form in O(tags) steps: it lists no
 translation and makes no ``TorusElement``.  ``to_torus_rep`` lists the form
 as ``TorusElement``s.
@@ -46,6 +47,7 @@ from .group import (
     TAG_OF_BITS,
     PointGroup,
     TorusForm,
+    _torus_form,
     _translations,
     _xgcd,
     conjugate,
@@ -138,54 +140,20 @@ def to_torus_rep(G: PointGroup) -> list:
 
 
 def _torus_view(G: PointGroup) -> TorusForm:
-    """G's ``TorusForm``: an encoded group's own, else the reduction of its
-    elements' translations (``_element_translations``).  There the 1
-    translations span the lattice, each tag's first translation is its
-    offset, and every translation set must be exactly its coset, else
+    """G's ``TorusForm``: an encoded group's own, else the Schreier form
+    ``group._torus_form`` of its elements.  A set S lies in the group it
+    generates, so the form counts |S| points exactly when S is a group; any
+    other set, or a component off the standard torus, raises
     ``NotToroidalError``."""
     if G.cyclo_codes is not None:
         return G.cyclo_codes
-    den, by_tag = _element_translations(G)
-    form = TorusForm(den, by_tag.get("1", ()), {t: pts[0] for t, pts in by_tag.items()})
-    _check_cosets(form, by_tag)
-    return form
-
-
-def _element_translations(G: PointGroup) -> tuple:
-    """``(den, {tag: [(u1, u2), ...]})``: the translations of G's elements by
-    directional tag, in element order.
-
-    The elements' codes (star, k_l, b_l, k_r, b_r) are read with D the lcm of
-    their angle denominators and k = num D/den; a component off the standard
-    torus raises ``NotToroidalError``.  They are grouped once by
-    (star, b_l, b_r), and ``_translations`` gives each group's translations
-    over den = 2D."""
-    quats = {q for g in G.elements for q in (g.l, g.r)}
-    if not all(isinstance(q, CycloQuat) for q in quats):
+    elements = list(G.elements)
+    if not all(isinstance(q, CycloQuat) for g in elements for q in (g.l, g.r)):
         raise NotToroidalError("element is not toroidal in standard coordinates")
-    D = lcm(*{q.den for q in quats})
-    k = {q: q.num * (D // q.den) for q in quats}
-    by_bits = {}
-    for g in G.elements:
-        c = (g.star, k[g.l], g.l.jbit, k[g.r], g.r.jbit)
-        bits = c[0], c[2], c[4]
-        if bits in by_bits:
-            by_bits[bits].append(c)
-        else:
-            by_bits[bits] = [c]
-    den = 2 * D
-    return den, {TAG_OF_BITS[bits]: _translations(TAG_OF_BITS[bits], group, den)
-                 for bits, group in by_bits.items()}
-
-
-def _check_cosets(form: TorusForm, by_tag: dict) -> None:
-    """``NotToroidalError`` unless 1 is a tag and each tag's translation set
-    is the coset of its offset."""
-    if "1" not in by_tag or any(
-            len(set(pts)) != form.index
-            or any(form.reduce(*pt) != form.offsets[tag] for pt in pts)
-            for tag, pts in by_tag.items()):
+    form = _torus_form(elements)
+    if len(form) != len(elements):
         raise NotToroidalError("translation set is not a lattice")
+    return form
 
 
 # ---------------------------------------------------------------------------
@@ -201,11 +169,13 @@ class TorusLattice:
 def normalize_lattice(translations) -> TorusLattice:
     """Unique (m, n, s) of a lattice of ``TorusElement`` translations, s in the
     canonical range; the elements may have different moduli, and the origin
-    counts as a point."""
+    counts as a point.  The points span the lattice, so they are all of it
+    exactly when there are as many as its index, else ``NotToroidalError``."""
     den = lcm(*{t.den for t in translations})
     pts = [(t.u1 * (den // t.den), t.u2 * (den // t.den)) for t in translations]
     form = TorusForm(den, pts, {"1": (0, 0)})
-    _check_cosets(form, {"1": pts + [(0, 0)]})
+    if len({*pts, (0, 0)}) != form.index:
+        raise NotToroidalError("translation set is not a lattice")
     return _lattice_params(form)
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pg4.algebra import CycloQuat
+from pg4.algebra import CycloQuat, _cyc_make
 from pg4.catalog import (
     TOROIDAL_FAMILIES,
     SpecError,
@@ -45,6 +45,7 @@ from pg4.toroidal import (
     _torus_view,
     NotToroidalError,
     TAG_ACTION,
+    TorusElement,
     canonicalize_duplicates,
     classify_toroidal,
     conjugate_seq,
@@ -353,7 +354,7 @@ def _read_both_ways(G):
     got = read(G)
     assert G.cyclo_codes is not None
     copy = from_elements(G.elements, G.generators)
-    assert G.cyclo_codes is None and copy == G and len(copy) == len(G)
+    assert G.cyclo_codes is not None and copy == G and len(copy) == len(G)
     assert read(copy) == got
     return got
 
@@ -421,8 +422,8 @@ def test_torus_form_matches_the_sweep():
     ``list_catalog(200)``, of ``duplication_rows(12)`` (not in catalog
     form), of swapped ``|/`` groups (tags ``{1, -}``) and of random
     subgroups.  Every 25th group is also read through ``elements``, which
-    runs the closure sweep of ``generate``: it drops its form, and its
-    element-backed view reduces to the same form."""
+    runs the closure sweep of ``generate``: it keeps its form, and the
+    element-backed view of its elements is the same form."""
     from pg4.constants import QI, QK
     from pg4.transform import rotation
     rng = random.Random(2601)
@@ -440,8 +441,8 @@ def test_torus_form_matches_the_sweep():
         assert form.den == den and {t: set(form.translations(t)) for t in form.offsets} == want
         assert len(G) == sum(map(len, want.values()))
         if i % 25 == 0:
-            assert len(G.elements) == len(form) and G.cyclo_codes is None
-            assert _torus_view(G) == form
+            assert len(G.elements) == len(form) and G.cyclo_codes is form
+            assert _torus_view(from_elements(G.elements)) == form
 
 
 def test_toroidal_round_trips_run_no_sweep(monkeypatch):
@@ -473,15 +474,32 @@ def test_toroidal_round_trips_run_no_sweep(monkeypatch):
 
 def test_element_view_refuses_a_set_that_is_not_a_group():
     """An element set whose translations are not one lattice coset per tag
-    is refused: a ``.`` element moved off its coset, or one taken out."""
+    is refused: a ``.`` element moved off its coset, or one taken out.  So
+    is a set whose tags' translations are each one coset, but whose cosets
+    do not multiply back into the set: the non-1 cosets of a group all
+    shifted by one translation, or an identity and an element of order 12."""
+    from pg4.classify import classify
     from pg4.constants import ONE
-    from pg4.transform import compose, rotation
+    from pg4.transform import IDENTITY, compose, rotation
     G = build(next(sp for sp in list_catalog(24) if sp.family == "."))
     x = next(g for g in G.elements if not g.star and g.l.jbit and g.r.jbit)
     moved = compose(x, rotation(CycloQuat(Fr(1, 7)), ONE))
     for S in ((G.elements - {x}) | {moved}, G.elements - {x}):
         with pytest.raises(NotToroidalError, match="translation set is not a lattice"):
             classify_toroidal(from_elements(S))
+    t = rotation(_cyc_make(-1, 16, 0), _cyc_make(1, 16, 0))
+    shifted = [frozenset(g if torus_element(g).tag == "1" else compose(g, t)
+                         for g in build(parse_spec(text)).elements)
+               for text in ("tor:+/p2gg:m=2,n=1", "tor://pg:m=2,n=4")]
+    g6 = rotation(CycloQuat(Fr(2, 3)), CycloQuat(Fr(1, 2), 1))
+    for S in shifted + [frozenset({IDENTITY, g6})]:
+        assert len(generate(S)) > len(S)
+        for read in (classify, to_torus_rep):
+            with pytest.raises(NotToroidalError, match="translation set is not a lattice"):
+                read(from_elements(S))
+    # two of the four points of the lattice that (1/4, 0) spans
+    with pytest.raises(NotToroidalError, match="translation set is not a lattice"):
+        normalize_lattice([TorusElement("1", 1, 0, 4)])
 
 
 @pytest.mark.parametrize("text", [
