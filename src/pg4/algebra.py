@@ -659,7 +659,8 @@ def quat_key(q: Quat):
     """Total order on quaternion encodings, for canonical signs."""
     if isinstance(q, CycloQuat):
         return (0, q.num, q.den, q.jbit)
-    return (1,) + q.w.key() + q.x.key() + q.y.key() + q.z.key()
+    *nums, den = q._ints
+    return (1, *(Fraction(n, den) for n in nums))
 
 
 def quat_to_json(q: Quat):

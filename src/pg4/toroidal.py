@@ -18,12 +18,13 @@ element-backed group gets it from ``group._torus_form`` on its elements, the
 same Schreier search, and is refused unless the form counts its elements.
 ``classify_toroidal`` reads the form in O(tags) steps: it lists no
 translation and makes no ``TorusElement``.  ``to_torus_rep`` lists the form
-as ``TorusElement``s.
+as ``TorusElement``s.  The duplication conjugator search reads forms too:
+it conjugates a group's generators and compares the torus form of the
+conjugated generators with the target's, with no element set.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -51,7 +52,6 @@ from .group import (
     _translations,
     _xgcd,
     conjugate,
-    equals,
     fingerprint,
 )
 from .transform import Transform4, compose, conjugate_elem, rotation
@@ -88,11 +88,6 @@ class TorusElement:
     def t2(self) -> Fraction:
         return Fraction(self.u2, self.den)
 
-    def lifted(self, den: int) -> TorusElement:
-        """The same element over a multiple den of its modulus."""
-        k = den // self.den
-        return TorusElement(self.tag, self.u1 * k, self.u2 * k, den)
-
     def __eq__(self, other):
         if not isinstance(other, TorusElement):
             return NotImplemented
@@ -110,19 +105,13 @@ class NotToroidalError(ValueError):
     pass
 
 
-def torus_element(g: Transform4, den: int | None = None) -> TorusElement:
-    """Directional tag and exact translation part of a torus-standard element.
-
-    The translation is given over ``den``, a multiple of twice both angle
-    denominators of ``g``; by default the least such modulus.
-    """
+def torus_element(g: Transform4) -> TorusElement:
+    """Directional tag and exact translation part of a torus-standard element,
+    over the least modulus: twice the lcm of its angle denominators."""
     l, r = g.l, g.r
     if not isinstance(l, CycloQuat) or not isinstance(r, CycloQuat):
         raise NotToroidalError("element is not toroidal in standard coordinates")
-    if den is None:
-        den = 2 * lcm(l.den, r.den)
-    elif den % (2 * l.den) or den % (2 * r.den):
-        raise ValueError(f"modulus {den} is not a multiple of 2*{l.den} and 2*{r.den}")
+    den = 2 * lcm(l.den, r.den)
     # rotation angles in units of 2*pi, times den
     a = l.num * (den // (2 * l.den))
     b = r.num * (den // (2 * r.den))
@@ -523,33 +512,26 @@ def _translation_conj(u1: int, u2: int, den: int) -> Transform4:
     return rotation(_cyc_make(-(u1 + u2), den, 0), _cyc_make(u1 - u2, den, 0))
 
 
-_D8_CHIRAL = None
+_D8_CHIRAL = (
+    rotation(ONE, ONE),
+    rotation(QJ, QJ),
+    rotation(QI, QK),
+    rotation(MINUS_K, QI),
+)
 
 
-def _d8_chiral():
-    global _D8_CHIRAL
-    if _D8_CHIRAL is None:
-        _D8_CHIRAL = [
-            rotation(ONE, ONE),
-            rotation(QJ, QJ),
-            rotation(QI, QK),
-            rotation(MINUS_K, QI),
-        ]
-    return _D8_CHIRAL
-
-
-def _delta_candidates(tag: str, src: TorusElement, targets) -> list:
+def _delta_candidates(tag: str, src: tuple, targets, den: int) -> list:
     """Solutions delta of (A_tag - I) delta = t_src - t_tgt (mod 1), sorted.
 
-    src and targets share one modulus den; each delta is a pair (d1, d2)
-    standing for (d1, d2) / (2 den), so that halving stays exact.
+    src and targets are translations (u1, u2) over one modulus den; each
+    delta is a pair (d1, d2) standing for (d1, d2) / (2 den), so that
+    halving stays exact.
     """
-    den = src.den
     M = 2 * den
     out = set()
-    for tgt in targets:
+    for t1, t2 in targets:
         # conjugation by R_delta sends t to t - (A - I) delta; D over den
-        D1, D2 = (src.u1 - tgt.u1) % den, (src.u2 - tgt.u2) % den
+        D1, D2 = (src[0] - t1) % den, (src[1] - t2) % den
         if tag == ".":
             # -2 delta = D: delta = -D/2 + (0 or 1/2) per coordinate
             out.update(((k1 - D1) % M, (k2 - D2) % M)
@@ -578,46 +560,43 @@ def _delta_candidates(tag: str, src: TorusElement, targets) -> list:
     return sorted(out)
 
 
-def _probe_equal(G1: PointGroup, G2: PointGroup, h: Transform4) -> bool:
-    probes = sorted(G2.elements, key=lambda g: (not g.star, g._hash))[:4]
+def _conjugated(gens, h: Transform4):
+    """``(gens', form)``: the generators conjugated by h and the torus form
+    of the group they generate, or None when a conjugate is not exactly
+    representable or leaves the standard torus."""
     try:
-        if any(conjugate_elem(g, h) not in G1.elements for g in probes):
-            return False
-        return equals(conjugate(G2, h), G1)
-    except (RepresentationError, NotToroidalError):
-        return False
-
-
-def _standard_conjugator(G1: PointGroup, G2: PointGroup):
-    """Torus-preserving h (directional part + origin shift) with h^-1 G2 h = G1."""
-    try:
-        reps1 = to_torus_rep(G1)
-    except NotToroidalError:
+        gens = [conjugate_elem(g, h) for g in gens]
+    except RepresentationError:
         return None
-    tags1 = Counter(r.tag for r in reps1)
-    for hd in _d8_chiral():
-        try:
-            G2d = conjugate(G2, hd)
-            reps2 = to_torus_rep(G2d)
-        except (RepresentationError, NotToroidalError):
+    if not all(isinstance(q, CycloQuat) for g in gens for q in (g.l, g.r)):
+        return None
+    return gens, _torus_form(gens)
+
+
+def _standard_conjugator(form1: TorusForm, gens2):
+    """Torus-preserving h (directional part + origin shift) with
+    h^-1 <gens2> h the group of torus form form1, or None."""
+    tags = form1.offsets.keys()
+    for hd in _D8_CHIRAL:
+        found = _conjugated(gens2, hd)
+        if found is None or found[1].offsets.keys() != tags:
             continue
-        if Counter(r.tag for r in reps2) != tags1:
-            continue
-        nontriv = sorted((r for r in reps2 if r.tag != "1"),
-                         key=lambda r: (r.tag, r.u1, r.u2))
-        if not nontriv:
-            if G2d.elements == G1.elements:
+        gens2d, form2 = found
+        if tags == {"1"}:
+            if form2 == form1:
                 return hd
             continue
-        pref = ["L", "R", ".", "|", "-", "/", "\\"]
-        tag = next(t for t in pref if tags1.get(t))
+        tag = next(t for t in ("L", "R", ".", "|", "-", "/", "\\") if t in tags)
         # src and targets over one shared modulus; the deltas over twice it
-        den = lcm(reps1[0].den, reps2[0].den)
-        src = next(r for r in nontriv if r.tag == tag).lifted(den)
-        targets = [r.lifted(den) for r in reps1 if r.tag == tag]
-        for d1, d2 in _delta_candidates(tag, src, targets):
+        den = lcm(form1.den, form2.den)
+        k1, k2 = den // form1.den, den // form2.den
+        u1, u2 = min(form2.translations(tag))
+        src = (k2 * u1, k2 * u2)
+        targets = [(k1 * u1, k1 * u2) for u1, u2 in form1.translations(tag)]
+        for d1, d2 in _delta_candidates(tag, src, targets, den):
             hdelta = _translation_conj(d1, d2, 2 * den)
-            if _probe_equal(G1, G2d, hdelta):
+            found = _conjugated(gens2d, hdelta)
+            if found is not None and found[1] == form1:
                 return compose(hd, hdelta)
     return None
 
@@ -645,28 +624,32 @@ def duplication_conjugator(spec1: GroupSpec, spec2: GroupSpec):
 
     A single transformation when the composite is exactly representable,
     otherwise the exact two-step chain (alternate-torus part, standard part).
+    The search reads torus forms only: it conjugates spec2's generators and
+    accepts a candidate when their form equals spec1's, which is equality of
+    the groups in standard position.  None unless both groups are encoded
+    toroidal groups of one order, conjugate by such a chain.
     """
     G1 = _built(spec1)
     G2 = _built(spec2)
-    if len(G1.elements) != len(G2.elements):
+    if G1.cyclo_codes is None or G2.cyclo_codes is None or len(G1) != len(G2):
         return None
+    form1 = _torus_view(G1)
     for ul in _alt_torus_quats():
         for ur in _alt_torus_quats():
             h1 = rotation(ul, ur)
-            try:
-                G2a = conjugate(G2, h1)
-                _torus_view(G2a)
-            except (RepresentationError, NotToroidalError):
+            found = _conjugated(G2.generators, h1)
+            if found is None:
                 continue
-            h2 = _standard_conjugator(G1, G2a)
+            h2 = _standard_conjugator(form1, found[0])
             if h2 is None:
                 continue
             try:
                 h = compose(h1, h2)
-                if _probe_equal(G1, G2, h):
-                    return (h,)
-            except (RepresentationError, NotToroidalError):
-                pass
+            except RepresentationError:
+                return (h1, h2)
+            found = _conjugated(G2.generators, h)
+            if found is not None and found[1] == form1:
+                return (h,)
             return (h1, h2)
     return None
 

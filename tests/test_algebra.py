@@ -280,6 +280,25 @@ def test_quaternion_path_does_no_field_arithmetic(monkeypatch):
     assert angles == [algebra.unsigned_angle(products[a, b]) for a in I2 for b in I2]
 
 
+def test_quat_key_matches_coordinate_keys():
+    """``quat_key`` of an AlgQuat reads ``_ints``; it equals the key made from
+    the four ``FieldElem`` coordinates, so the sort order is the same."""
+    from pg4.catalog import AXIAL_FAMILIES, POLYHEDRAL_ORDERS, GroupSpec, build, polyhedral_spec
+    groups = [build(polyhedral_spec(name)) for name in POLYHEDRAL_ORDERS]
+    groups += [build(GroupSpec("axial", fam)) for fam in AXIAL_FAMILIES]
+    assert len(groups) == 46
+    finite = {q for G in groups for g in G.elements for q in (g.l, g.r) if type(q) is AlgQuat}
+    assert len(finite) == 128  # the AlgQuats of 2O ∪ 2I
+    quats = list(finite) + _dense_quats(2405, 40) + _dense_quats(2505, 40)
+
+    def oracle(q):
+        return (1,) + q.w.key() + q.x.key() + q.y.key() + q.z.key()
+
+    for q in quats:
+        assert quat_key(q) == oracle(q), q
+    assert sorted(quats, key=quat_key) == sorted(quats, key=oracle)
+
+
 def test_interned_data():
     """The sign bit and integer coordinates set when a quaternion is interned,
     over every quaternion made while building the 46 finite groups."""

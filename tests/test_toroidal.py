@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import re
@@ -187,14 +188,53 @@ def test_duplication_conjugator_lets_real_errors_through(monkeypatch):
     # only a failed representation or a non-toroidal conjugate means "no match"
     import pg4.toroidal
 
-    def broken(G, h):
+    def broken(g, h):
         raise TypeError("bug")
 
     sp = toroidal_spec("X/c2mm", m=1, n=3)
     target = canonicalize_duplicates(sp)
-    monkeypatch.setattr(pg4.toroidal, "conjugate", broken)
+    monkeypatch.setattr(pg4.toroidal, "conjugate_elem", broken)
     with pytest.raises(TypeError):
         duplication_conjugator.__wrapped__(sp, target)
+
+
+def test_duplication_conjugators_pinned():
+    # the chains the search finds; a change to the search must find the same
+    lines = []
+    for sp in duplication_rows(20):
+        t = canonicalize_duplicates(sp)
+        lines.append(f"{sp.spec_string()} -> {t.spec_string()}: {duplication_conjugator(sp, t)!r}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "cdba4fa490a12b2c61606757e9c5e265ce0e024bb3b3f09c91edc788dc66c5bc"
+
+
+def test_duplication_conjugator_reads_only_forms(monkeypatch):
+    """The search conjugates generators and compares torus forms: it lists
+    no element, conjugates no element set and makes no ``TorusElement``."""
+    import pg4.group
+    import pg4.toroidal
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an element set was read")
+
+    rows = duplication_rows(12)
+    pairs = [(sp, canonicalize_duplicates(sp)) for sp in rows]
+    monkeypatch.setattr(pg4.group, "_close_indexed", forbidden)
+    monkeypatch.setattr(pg4.toroidal, "conjugate", forbidden)
+    monkeypatch.setattr(TorusElement, "__init__", forbidden)
+    for sp, target in pairs:
+        assert duplication_conjugator.__wrapped__(sp, target) is not None, sp.spec_string()
+
+
+@pytest.mark.parametrize("a, b", [
+    ("poly:+-[TxO]", "poly:+-[OxT]"),
+    ("tub:+-[TxC]:n=4", "tub:+-[CxT]:n=4"),
+    ("tor:1:m=24,n=24,s=0", "poly:+-[TxO]"),
+    ("tor:1:m=2,n=3,s=0", "tor:1:m=1,n=6,s=0"),
+])
+def test_duplication_conjugator_none_out_of_domain(a, b):
+    # groups that are not both toroidal, or toroidal groups that are not conjugate
+    assert duplication_conjugator(parse_spec(a), parse_spec(b)) is None
 
 
 def test_canonical_s_is_the_in_range_shift():
@@ -556,14 +596,8 @@ def test_torus_element_matches_fraction_reference(star, l, r, k):
     te = torus_element(g)
     assert (te.tag, te.t1, te.t2) == want
     assert te.den == 2 * lcm(l.den, r.den) and 0 <= te.u1 < te.den and 0 <= te.u2 < te.den
-    wide = torus_element(g, k * te.den)  # any multiple of the modulus reads the same
-    assert wide.den == k * te.den and wide == te and (wide.t1, wide.t2) == want[1:]
-
-
-def test_torus_element_rejects_short_modulus():
-    g = Transform4(False, CycloQuat(Fr(1, 5)), CycloQuat(Fr(1, 3)))
-    with pytest.raises(ValueError):
-        torus_element(g, 10)
+    # the same translation over any multiple of the modulus is the same element
+    assert TorusElement(te.tag, k * te.u1, k * te.u2, k * te.den) == te
 
 
 def test_torus_rep_shares_one_modulus():
@@ -598,8 +632,8 @@ def test_delta_candidates_sorted_solutions():
     targets = [TorusElement(".", u1, u2, den)
                for u1, u2 in ((1, 7), (9, 0), (3, 2), (5, 11), (3, 4), (4, 1))]
     for tag in (".", "L", "R", "|", "-", "/", "\\"):
-        got = _delta_candidates(tag, TorusElement(tag, src.u1, src.u2, den),
-                                [TorusElement(tag, t.u1, t.u2, den) for t in targets])
+        got = _delta_candidates(tag, (src.u1, src.u2),
+                                [(t.u1, t.u2) for t in targets], den)
         assert got and isinstance(got, list) and got == sorted(set(got)), tag
         # each delta (over 2 den) solves (A - I) delta = t_src - t_tgt for some target
         for d1, d2 in got:
