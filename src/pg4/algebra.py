@@ -349,8 +349,8 @@ class CycloQuat:
     __slots__ = ("num", "den", "jbit", "_hash", "_neg", "_order", "_flip")
 
     def __new__(cls, t, jbit: int = 0):
-        t = Fraction(t) % 2
-        return _cyc(t.numerator, t.denominator, 1 if jbit else 0)
+        t = Fraction(t)
+        return _cyc_make(t.numerator, t.denominator, 1 if jbit else 0)
 
     @property
     def t(self) -> Fraction:

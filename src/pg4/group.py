@@ -6,8 +6,10 @@ downstream (fingerprints, the Goursat construction, achiral extensions,
 left/right quaternion groups) works on that element set.  A group generated
 by ``CycloQuat`` generators is encoded instead: it holds its torus form
 (``TorusForm``: a translation lattice on the invariant torus and one coset
-offset per directional tag), found with no sweep, runs that sweep on the
-first read of its element set, and keeps the form.
+offset per directional tag), runs that sweep on the first read of its
+element set, and keeps the form.  The form is found with no sweep and no
+quaternion product: each generator is read once as an affine torus map
+x ↦ A·x + t (``_torus_point``), and those maps are composed.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .transform import (
 )
 
 DEFAULT_CAP = 2_000_000
+QUAT_CLOSURE_CAP = 100_000
 
 
 class ClosureCapExceeded(RuntimeError):
@@ -169,42 +172,6 @@ class _Memo(dict):
         return value
 
 
-def _cyclo_codes(gens: list) -> tuple:
-    """``(D, codes)``: D the lcm of the generators' angle denominators, and
-    each generator as its code (star, k_l, b_l, k_r, b_r), where
-    exp(kπi/D)·j^b is (k mod 2D, b)."""
-    D = lcm(*(q.den for h in gens for q in (h.l, h.r)))
-    return D, [(int(h.star), h.l.num * (D // h.l.den), h.l.jbit,
-                h.r.num * (D // h.r.den), h.r.jbit) for h in gens]
-
-
-def _step(code: tuple, D: int) -> tuple:
-    """A right factor h as (star, k0_l, k1_l, b_l, k0_r, k1_r, b_r): per side,
-    the k that h's component adds to a left factor with j-bit 0 and with
-    j-bit 1."""
-    s, kl, bl, kr, br = code
-    # exp(sπi)j^b · exp(tπi)j^c = exp((s ± t)πi)j^(b^c), with - for b = 1,
-    # and j·j = -1 (t + 1) for b = c = 1: the k shift for b = 0 and b = 1
-    return s, kl, D * bl - kl, bl, kr, D * br - kr, br
-
-
-def _product(g: tuple, step: tuple, D: int) -> tuple:
-    """The code of compose(g, h), for g a code and h a ``_step``; the
-    canonical sign moves k_l below D, adding D to both k."""
-    M = 2 * D
-    s, kl, bl, kr, br = g
-    hs, l0, l1, lb, r0, r1, rb = step
-    # g∘h = [g.l·h.l, g.r·h.r], with g's components swapped when h reverses
-    if hs:
-        kl, bl, kr, br = kr, br, kl, bl
-    k = (kl + (l1 if bl else l0)) % M
-    kk = kr + (r1 if br else r0)
-    if k >= D:
-        k -= D
-        kk += D
-    return s ^ hs, k, bl ^ lb, kk % M, br ^ rb
-
-
 def _close_indexed(gens: list, cap: int) -> list:
     """The closure sweep of ``generate``, on indices into a per-call table.
 
@@ -278,16 +245,38 @@ _TRANSLATION = {
     "R": ((-1, -1, 0), (-1, 1, 0)),
 }
 
+# tag -> its directional part A on the torus: an element maps x to A·x + t
+TAG_ACTION = {
+    "1": lambda u, v: (u, v),
+    ".": lambda u, v: (-u, -v),
+    "/": lambda u, v: (v, u),
+    "\\": lambda u, v: (-v, -u),
+    "|": lambda u, v: (-u, v),
+    "-": lambda u, v: (u, -v),
+    "L": lambda u, v: (-v, u),
+    "R": lambda u, v: (v, -u),
+}
 
-def _translations(tag: str, codes, den: int) -> list:
-    """The translations (u1, u2), 0 <= u < den, of the elements with codes
-    (star, a, jl, b, jr) over den, all of directional part tag: the
-    eight-tag formula."""
-    h = den // 2
+# (a, b) -> the tag of A_a·A_b, A_b applied first: the table of D8, read off
+# the actions on the unit vectors
+_TAG_PRODUCT = {
+    (a, b): next(c for c, C in TAG_ACTION.items()
+                 if all(C(*e) == A(*B(*e)) for e in ((1, 0), (0, 1))))
+    for a, A in TAG_ACTION.items() for b, B in TAG_ACTION.items()
+}
+
+
+def _torus_point(g: Transform4, D: int) -> tuple:
+    """``(tag, (u1, u2))``: the directional tag of an element with CycloQuat
+    components whose angle denominators divide D, and its translation over
+    den = 2D, 0 <= u < den, from the eight-tag formula."""
+    l, r = g.l, g.r
+    tag = TAG_OF_BITS[g.star, l.jbit, r.jbit]
+    # the components are exp(2πi a/den) j^jl and exp(2πi b/den) j^jr
+    a, b = l.num * (D // l.den), r.num * (D // r.den)
     (p1, q1, c1), (p2, q2, c2) = _TRANSLATION[tag]
-    c1, c2 = c1 * h, c2 * h
-    return [((p1 * a + q1 * b + c1) % den, (p2 * a + q2 * b + c2) % den)
-            for _, a, _, b, _ in codes]
+    den = 2 * D
+    return tag, ((p1 * a + q1 * b + c1 * D) % den, (p2 * a + q2 * b + c2 * D) % den)
 
 
 def _xgcd(x: int, y: int) -> tuple:
@@ -374,36 +363,41 @@ class TorusForm:
 
 
 def _torus_form(gens: list) -> TorusForm:
-    """The torus form of the group of CycloQuat generators, with no sweep.
+    """The torus form of the group of CycloQuat generators, with no sweep
+    and no quaternion product.
 
-    The tag of an element is a homomorphism to the eight torus symmetries,
-    with kernel T, the translations.  A breadth-first search over the tags
-    finds one coset representative per tag: each representative r is
-    multiplied by every generator h as r∘h (h applied first,
-    ``compose(h, r)``), and a product with a new tag represents that tag.
-    By Schreier's lemma T is generated by the p∘q⁻¹, for every other
-    product p and q the representative of its tag.  Both have one
-    directional part, so p∘q⁻¹ is the translation by t(p) − t(q), and the
-    lattice is the Hermite normal form of those differences.
+    Each generator is read once as its torus point (``_torus_point``), the
+    affine map x ↦ A·x + t.  The tag of an element is a homomorphism to the
+    eight torus symmetries, with kernel T, the translations.  A
+    breadth-first search over the tags finds one coset representative per
+    tag: each representative r is multiplied by every generator h as r∘h
+    (h applied first, ``compose(h, r)``), the map with tag
+    ``_TAG_PRODUCT[r, h]`` and translation A_r·t_h + t_r, and a product with
+    a new tag represents that tag.  By Schreier's lemma T is generated by
+    the p∘q⁻¹, for every other product p and q the representative of its
+    tag.  Both have one directional part, so p∘q⁻¹ is the translation by
+    t(p) − t(q), and the lattice is the Hermite normal form of those
+    differences.  ``TorusForm`` reduces the translations mod den = 2D.
     """
-    D, codes = _cyclo_codes(gens)
-    den = 2 * D
+    D = lcm(*(q.den for h in gens for q in (h.l, h.r)))
+    points = [_torus_point(h, D) for h in gens]
     reps = {"1": (0, 0)}
-    queue = [(0, 0, 0, 0, 0)]
+    queue = ["1"]
     vectors = []
     for r in queue:
-        step = _step(r, D)
-        for h in codes:
-            p = _product(h, step, D)
-            tag = TAG_OF_BITS[p[0], p[2], p[4]]
-            [(x, y)] = _translations(tag, (p,), den)
+        act = TAG_ACTION[r]
+        x0, y0 = reps[r]
+        for h, (u, v) in points:
+            tag = _TAG_PRODUCT[r, h]
+            du, dv = act(u, v)
+            x, y = x0 + du, y0 + dv
             if tag in reps:
-                x0, y0 = reps[tag]
-                vectors.append((x - x0, y - y0))
+                x1, y1 = reps[tag]
+                vectors.append((x - x1, y - y1))
             else:
                 reps[tag] = x, y
-                queue.append(p)
-    return TorusForm(den, vectors, reps)
+                queue.append(tag)
+    return TorusForm(2 * D, vectors, reps)
 
 
 def from_elements(elements, generators=()) -> PointGroup:
@@ -500,7 +494,7 @@ class QuatGroupType:
         return self.kind in ("T", "O", "I")
 
 
-def quat_closure(gens, cap: int = 100_000) -> frozenset:
+def quat_closure(gens) -> frozenset:
     seen = {ONE}
     queue = [ONE]
     i = 0
@@ -511,7 +505,7 @@ def quat_closure(gens, cap: int = 100_000) -> frozenset:
         for h in gens:
             qh = quat_mul(q, h)
             if qh not in seen:
-                if len(seen) >= cap:
+                if len(seen) >= QUAT_CLOSURE_CAP:
                     raise ClosureCapExceeded("quaternion set not closed within cap")
                 seen.add(qh)
                 queue.append(qh)

@@ -53,20 +53,15 @@ def rotate_s2(x4, p):
 
 @dataclass(frozen=True)
 class GreatCircle:
-    """K_p^q; oriented circles distinguish (p,q) from (-p,-q)."""
+    """The oriented great circle K_p^q: (p, q) and (-p, -q) are two circles."""
 
     p: tuple
     q: tuple
-    oriented: bool = True
 
     @staticmethod
-    def make(p, q, oriented: bool = True) -> "GreatCircle":
+    def make(p, q) -> "GreatCircle":
         p, q = _unit(p), _unit(q)
-        if not oriented:
-            # canonical representative of K_p^q = K_{-p}^{-q}
-            if tuple(p) < tuple(-p) or (tuple(p) == tuple(-p) and tuple(q) < tuple(-q)):
-                p, q = -p, -q
-        return GreatCircle(tuple(p), tuple(q), oriented)
+        return GreatCircle(tuple(p), tuple(q))
 
     def base_point(self) -> np.ndarray:
         """Half-turn quaternion about unit(p+q); deterministic fallback at p=-q."""
@@ -116,7 +111,7 @@ def transform_circle(g: Transform4, K: GreatCircle) -> GreatCircle:
         p, q = -q, -p
     lp = rotate_s2(np.array(quat_float4(g.l)), p)
     rq = rotate_s2(np.array(quat_float4(g.r)), q)
-    return GreatCircle.make(lp, rq, K.oriented)
+    return GreatCircle.make(lp, rq)
 
 
 def circle_distance(K1: GreatCircle, K2: GreatCircle) -> float:

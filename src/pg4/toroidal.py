@@ -9,7 +9,9 @@ All torus data here lives in units of 2*pi.  A translation is a pair of ints
 (u1, u2) modulo one positive modulus den, standing for (u1/den, u2/den) mod 1.
 Every element of a group is put over the same modulus, twice the lcm of the
 group's angle denominators, so lattice and mirror tests are plain int
-arithmetic.  ``group._translations`` holds the eight-tag translation formula.
+arithmetic.  ``group._torus_point`` reads an element's tag and translation
+by the eight-tag formula, and ``group.TAG_ACTION`` (re-exported here) is each
+tag's directional part A, so that the element maps x to A·x + t.
 
 A group has one torus view, ``_torus_view(G)``, its ``group.TorusForm``: the
 Hermite normal form of its translation lattice and one coset offset per
@@ -44,29 +46,19 @@ from .catalog import (
     toroidal_spec,
 )
 from .constants import MINUS_K, ONE, QI, QJ, QK
+# TAG_ACTION and TAG_OF_BITS, the tag tables, are re-exported from here
 from .group import (
+    TAG_ACTION,
     TAG_OF_BITS,
     PointGroup,
     TorusForm,
     _torus_form,
-    _translations,
+    _torus_point,
     _xgcd,
     conjugate,
     fingerprint,
 )
 from .transform import Transform4, compose, conjugate_elem, rotation
-
-# directional action on (phi1, phi2): (phi1, phi2) -> A(phi1, phi2) + t
-TAG_ACTION = {
-    "1": lambda u, v: (u, v),
-    ".": lambda u, v: (-u, -v),
-    "/": lambda u, v: (v, u),
-    "\\": lambda u, v: (-v, -u),
-    "|": lambda u, v: (-u, v),
-    "-": lambda u, v: (u, -v),
-    "L": lambda u, v: (-v, u),
-    "R": lambda u, v: (v, -u),
-}
 
 
 class TorusElement:
@@ -111,13 +103,9 @@ def torus_element(g: Transform4) -> TorusElement:
     l, r = g.l, g.r
     if not isinstance(l, CycloQuat) or not isinstance(r, CycloQuat):
         raise NotToroidalError("element is not toroidal in standard coordinates")
-    den = 2 * lcm(l.den, r.den)
-    # rotation angles in units of 2*pi, times den
-    a = l.num * (den // (2 * l.den))
-    b = r.num * (den // (2 * r.den))
-    tag = TAG_OF_BITS[(g.star, l.jbit, r.jbit)]
-    [(u1, u2)] = _translations(tag, ((g.star, a, l.jbit, b, r.jbit),), den)
-    return TorusElement(tag, u1, u2, den)
+    D = lcm(l.den, r.den)
+    tag, (u1, u2) = _torus_point(g, D)
+    return TorusElement(tag, u1, u2, 2 * D)
 
 
 def to_torus_rep(G: PointGroup) -> list:

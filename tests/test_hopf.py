@@ -83,9 +83,7 @@ def test_left_rotation_preserves_left_bundle():
         gl = Transform4(False, g.l, __import__("pg4.algebra", fromlist=["ONE"]).ONE)
         K = GreatCircle.make(rand_s2(), q0)
         K2 = transform_circle(gl, K)
-        assert np.allclose(K2.q, q0, atol=1e-9) or np.allclose(K2.q, -q0, atol=1e-9)
-        if K2.oriented:
-            assert np.allclose(K2.q, q0, atol=1e-9)
+        assert np.allclose(K2.q, q0, atol=1e-9)
 
 
 def test_right_rotation_rotates_fibers():

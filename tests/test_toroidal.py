@@ -28,11 +28,10 @@ from pg4.catalog import (
 from pg4.group import (
     DEFAULT_CAP,
     TAG_OF_BITS,
+    _TAG_PRODUCT,
+    _TRANSLATION,
     ClosureCapExceeded,
-    _cyclo_codes,
-    _product,
-    _step,
-    _translations,
+    _torus_point,
     conjugate,
     equals,
     from_elements,
@@ -56,7 +55,7 @@ from pg4.toroidal import (
     to_torus_rep,
     torus_element,
 )
-from pg4.transform import Transform4, apply
+from pg4.transform import Transform4, apply, compose
 
 
 def torus_pt(u, v):
@@ -110,6 +109,43 @@ def test_action_formulas_numeric():
                         want = torus_pt((au + float(te.t1)) * 2 * pi,
                                         (av + float(te.t2)) * 2 * pi)
                         assert np.allclose(got, want, atol=1e-9)
+
+
+def test_torus_point_composes_affinely():
+    """An element is the affine torus map x ↦ A·x + t, so compose(g, h), g
+    applied first, has tag ``_TAG_PRODUCT[tag_h, tag_g]`` and translation
+    A_h·t_g + t_h.  ``_TAG_PRODUCT`` is the table of a group that is not
+    commutative, with identity ``"1"``."""
+    tags = list(TAG_ACTION)
+    for a in tags:
+        assert _TAG_PRODUCT["1", a] == _TAG_PRODUCT[a, "1"] == a
+        assert sorted(_TAG_PRODUCT[a, b] for b in tags) == sorted(tags)
+        assert sorted(_TAG_PRODUCT[b, a] for b in tags) == sorted(tags)
+        for b in tags:
+            for c in tags:
+                assert _TAG_PRODUCT[_TAG_PRODUCT[a, b], c] == _TAG_PRODUCT[a, _TAG_PRODUCT[b, c]]
+    assert _TAG_PRODUCT["L", "|"] != _TAG_PRODUCT["|", "L"]
+    rng = random.Random(3001)
+    specs = rng.sample([sp for sp in list_catalog(120) if sp.kind == "toroidal"], 60)
+    specs += [parse_spec("tor:*/p4gmS:n=2"), parse_spec("tor:*/p4mmU:n=3")]
+    seen = set()
+    for sp in specs:
+        pool = sorted(build(sp).elements, key=lambda g: g._hash)
+        pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(30)]
+        # every pair of tags the group has, on seeded elements of each tag
+        by_tag = {}
+        for g in rng.sample(pool, len(pool)):
+            by_tag.setdefault(torus_element(g).tag, g)
+        pairs += [(g, h) for g in by_tag.values() for h in by_tag.values()]
+        for g, h in pairs:
+            D = lcm(*(q.den for x in (g, h) for q in (x.l, x.r)))
+            tag_g, t_g = _torus_point(g, D)
+            tag_h, t_h = _torus_point(h, D)
+            u, v = TAG_ACTION[tag_h](*t_g)
+            want = (_TAG_PRODUCT[tag_h, tag_g], ((u + t_h[0]) % (2 * D), (v + t_h[1]) % (2 * D)))
+            assert _torus_point(compose(g, h), D) == want, (sp.spec_string(), g, h)
+            seen.add((tag_g, tag_h))
+    assert len(seen) == 64
 
 
 def test_non_toroidal_rejected():
@@ -425,11 +461,64 @@ def test_encoded_subgroups_match_element_path(data):
 
 # ---------------------------------------------------------------------------
 # the torus form against a closure sweep on integer codes
+#
+# The oracle multiplies quaternion codes (star, k_l, b_l, k_r, b_r), where
+# exp(kπi/D)·j^b is (k mod 2D, b), with its own product rule; the library
+# composes affine torus maps instead and has no code product.
+
+def _cyclo_codes(gens: list) -> tuple:
+    """``(D, codes)``: D the lcm of the generators' angle denominators, and
+    each generator as its code (star, k_l, b_l, k_r, b_r), where
+    exp(kπi/D)·j^b is (k mod 2D, b)."""
+    D = lcm(*(q.den for h in gens for q in (h.l, h.r)))
+    return D, [(int(h.star), h.l.num * (D // h.l.den), h.l.jbit,
+                h.r.num * (D // h.r.den), h.r.jbit) for h in gens]
+
+
+def _step(code: tuple, D: int) -> tuple:
+    """A right factor h as (star, k0_l, k1_l, b_l, k0_r, k1_r, b_r): per side,
+    the k that h's component adds to a left factor with j-bit 0 and with
+    j-bit 1."""
+    s, kl, bl, kr, br = code
+    # exp(sπi)j^b · exp(tπi)j^c = exp((s ± t)πi)j^(b^c), with - for b = 1,
+    # and j·j = -1 (t + 1) for b = c = 1: the k shift for b = 0 and b = 1
+    return s, kl, D * bl - kl, bl, kr, D * br - kr, br
+
+
+def _product(g: tuple, step: tuple, D: int) -> tuple:
+    """The code of compose(g, h), for g a code and h a ``_step``; the
+    canonical sign moves k_l below D, adding D to both k."""
+    M = 2 * D
+    s, kl, bl, kr, br = g
+    hs, l0, l1, lb, r0, r1, rb = step
+    # g∘h = [g.l·h.l, g.r·h.r], with g's components swapped when h reverses
+    if hs:
+        kl, bl, kr, br = kr, br, kl, bl
+    k = (kl + (l1 if bl else l0)) % M
+    kk = kr + (r1 if br else r0)
+    if k >= D:
+        k -= D
+        kk += D
+    return s ^ hs, k, bl ^ lb, kk % M, br ^ rb
+
+
+def _translations(tag: str, codes, den: int) -> list:
+    """The translations (u1, u2), 0 <= u < den, of the elements with codes
+    (star, a, jl, b, jr) over den, all of directional part tag: the
+    eight-tag formula."""
+    h = den // 2
+    (p1, q1, c1), (p2, q2, c2) = _TRANSLATION[tag]
+    c1, c2 = c1 * h, c2 * h
+    return [((p1 * a + q1 * b + c1) % den, (p2 * a + q2 * b + c2) % den)
+            for _, a, _, b, _ in codes]
+
 
 def _code_sweep(gens: list, cap: int) -> tuple:
     """The closure sweep for CycloQuat components, on codes mod 2D:
-    ``(D, codes)``, the identity's ``(0, 0, 0, 0, 0)`` first.  It shares only
-    the code product rule with ``_torus_form``, not its search."""
+    ``(D, codes)``, the identity's ``(0, 0, 0, 0, 0)`` first.  It shares
+    neither its product rule nor its search with ``_torus_form``, which
+    composes affine torus maps; only the eight-tag table ``_TRANSLATION``
+    that ``_sweep_view`` reads."""
     D, codes = _cyclo_codes(gens)
     steps = [_step(c, D) for c in codes]
     start = (0, 0, 0, 0, 0)
@@ -483,6 +572,25 @@ def test_torus_form_matches_the_sweep():
         if i % 25 == 0:
             assert len(G.elements) == len(form) and G.cyclo_codes is form
             assert _torus_view(from_elements(G.elements)) == form
+
+
+def test_torus_form_composes_tags_in_order():
+    """The groups with all eight tags, moved off the origin by a torus
+    translation, so that some tag X and X∘``.`` have different cosets: the
+    form matches the sweep only if the search multiplies the tags of D8,
+    which is not commutative, in the order r∘h."""
+    from pg4.toroidal import _translation_conj
+    from pg4.transform import conjugate_elem
+    specs = [sp for sp in list_catalog(200) if sp.family.startswith("*/")]
+    assert len(specs) == 10
+    for sp in specs:
+        G = build(sp)
+        h = _translation_conj(1, 3, 4 * G.cyclo_codes.den)
+        gens = [conjugate_elem(g, h) for g in G.generators]
+        form = generate(gens).cyclo_codes
+        den, want = _sweep_view(gens)
+        assert any(want[t] != want[_TAG_PRODUCT[t, "."]] for t in want), sp.spec_string()
+        assert form.den == den and {t: set(form.translations(t)) for t in form.offsets} == want
 
 
 def test_toroidal_round_trips_run_no_sweep(monkeypatch):
